@@ -1,10 +1,11 @@
 """Arbitrary-precision arithmetic services.
 
 Primality testing (deterministic below 2**64, strong-probable-prime style
-above), a staged factoring ladder (trial division, Brent's cycle method,
-elliptic curves) backed by a persistent factor cache, modular inverses,
-Chinese remaindering, and a segmented squarefree enumerator that never
-falls back to general factoring.
+above), small-prime extraction by blocked gcds against prime products, a
+staged factoring ladder (small primes, Brent's cycle method, elliptic
+curves) backed by a persistent factor cache, modular inverses, Chinese
+remaindering, and a segmented squarefree enumerator that never falls back
+to general factoring.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ _SMALL_PRIMES = (
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
 
-# These bases make strong-pseudoprime testing exact for all n < 3.3e24,
-# which comfortably covers the 64-bit deterministic tier.
+# These bases make strong-pseudoprime testing exact for all n below about
+# 3.18e23, which covers the 64-bit deterministic tier, their only use.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -207,8 +208,9 @@ class FactorCache:
     """Persistent store of known nontrivial splits.
 
     Plain text, one entry per line, ``composite=factor,factor,...`` in
-    decimal. Loaded eagerly; appends are serialized through one lock so
-    concurrent factoring jobs can share a cache file.
+    decimal. Loaded eagerly; a malformed line raises ValueError naming the
+    file and line. Appends are serialized through one lock so concurrent
+    factoring jobs can share a cache file.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -218,13 +220,18 @@ class FactorCache:
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    for line in fh:
+                    for lineno, line in enumerate(fh, start=1):
                         line = line.strip()
-                        if not line or "=" not in line:
+                        if not line:
                             continue
-                        left, right = line.split("=", 1)
-                        comp = int(left)
-                        facs = [int(t) for t in right.split(",") if t]
+                        try:
+                            left, right = line.split("=", 1)
+                            comp = int(left)
+                            facs = [int(t) for t in right.split(",") if t]
+                        except ValueError:
+                            raise ValueError(
+                                f"{path}:{lineno}: malformed factor cache "
+                                f"line {line!r}") from None
                         self._merge(comp, facs)
             except FileNotFoundError:
                 pass
@@ -269,27 +276,33 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(size) if flags[i]]
 
 
-def _trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
-    found: list[tuple[int, int]] = []
-    for p in _SMALL_PRIMES:
-        if p > bound and p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found.append((p, e))
-    p = _SMALL_PRIMES[-1] + 2
-    while p <= bound and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found.append((p, e))
-        p += 2
-    return found, n
+_GCD_BLOCK = 512
+
+
+@functools.lru_cache(maxsize=4)
+def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    ps = sieve_primes(bound)
+    blocks = []
+    for i in range(0, len(ps), _GCD_BLOCK):
+        chunk = tuple(ps[i:i + _GCD_BLOCK])
+        blocks.append((math.prod(chunk), chunk))
+    return tuple(blocks)
+
+
+def small_prime_factors(x: int, bound: int) -> list[int]:
+    """Distinct primes <= bound dividing x, by blocked gcd extraction."""
+    out = []
+    for prod_, chunk in _prime_blocks(bound):
+        g = math.gcd(x, prod_)
+        if g == 1:
+            continue
+        for p in chunk:
+            if g % p == 0:
+                out.append(p)
+                g //= p
+                if g == 1:
+                    break
+    return out
 
 
 def _iroot(n: int, k: int) -> int:
@@ -447,9 +460,15 @@ def factor(n: int, policy: EffortPolicy = DEFAULT_POLICY,
     deadline = (time.monotonic() + policy.time_budget
                 if policy.time_budget else None)
     counts: dict[int, int] = {}
-    small, rest = _trial_division(n, policy.trial_bound)
-    for p, e in small:
-        counts[p] = counts.get(p, 0) + e
+    rest = n
+    # the primes of is_prime's table are always stripped, whatever the bound
+    bound = max(policy.trial_bound, _SMALL_PRIMES[-1])
+    for p in small_prime_factors(n, bound):
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        counts[p] = e
 
     stack = [rest] if rest > 1 else []
     leftover: list[int] = []

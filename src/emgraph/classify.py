@@ -89,7 +89,7 @@ def is_multiple_triple(p1: int, p2: int, p3: int) -> bool:
     The criterion: p2(p1 + p3) = 1 mod p1*p3 and p1 = p3 mod p2, in which
     case the only partner ordering is the reversal.
     """
-    return (p2 * (p1 + p3) - 1) % (p1 * p3) == 0 and (p1 - p3) % p2 == 0
+    return _witness_of(p1, p2, p3) is not None
 
 
 _CASE_CLASSES = {

@@ -77,6 +77,10 @@ def _emit(out: TextIO, line: str) -> None:
     out.write(line + "\n")
 
 
+def _emit_json(out: TextIO, obj: dict) -> None:
+    _emit(out, json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
 def _record_csv_row(r: PairRecord, density: object = "") -> str:
     return ",".join([
         " ".join(str(v) for v in r.p.primes),
@@ -142,10 +146,9 @@ def _cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
             _emit(cfg.out, f"{s.level},{s.node_count},{s.composite_count}")
     else:
         for s in summaries:
-            _emit(cfg.out, json.dumps({
+            _emit_json(cfg.out, {
                 "level": str(s.level), "nodes": str(s.node_count),
-                "composites": str(s.composite_count)}, sort_keys=True,
-                separators=(",", ":")))
+                "composites": str(s.composite_count)})
     return 0
 
 
@@ -162,12 +165,10 @@ def _cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
             obj = _node_obj(nd)
             obj["hit_a"] = str(rc.a)
             obj["hit_m"] = str(rc.m)
-            _emit(cfg.out, json.dumps(obj, sort_keys=True,
-                                      separators=(",", ":")))
+            _emit_json(cfg.out, obj)
     else:
         for nd in nodes:
-            _emit(cfg.out, json.dumps(_node_obj(nd), sort_keys=True,
-                                      separators=(",", ":")))
+            _emit_json(cfg.out, _node_obj(nd))
     return 0
 
 
@@ -193,19 +194,18 @@ def _cmd_sequence(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_chains(args: argparse.Namespace, cfg: RunConfig) -> int:
     nodes = graph.bounded_explore([args.root], args.bound, args.max_level)
     for nd in graph.unique_chain_scan(nodes, args.ell):
-        _emit(cfg.out, json.dumps(_node_obj(nd), sort_keys=True,
-                                  separators=(",", ":")))
+        _emit_json(cfg.out, _node_obj(nd))
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     st = graph.simulate_growth_model(args.k, args.trials, args.seed)
-    _emit(cfg.out, json.dumps({
+    _emit_json(cfg.out, {
         "k_max": str(st.k_max), "trials": str(st.trials),
         "seed": str(st.seed),
         "ratios": [repr(r) for r in st.ratios],
         "mean": repr(st.mean), "stddev": repr(st.stddev),
-    }, sort_keys=True, separators=(",", ":")))
+    })
     return 0
 
 
@@ -324,3 +324,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

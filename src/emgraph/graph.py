@@ -15,11 +15,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, FactorCache, factor,
-                    is_prime, sieve_primes)
+                    is_prime, small_prime_factors)
 from .tuples import ResidueClass
 
 
@@ -173,43 +172,14 @@ def bfs_levels(root: int, max_level: int,
     return summaries
 
 
-_GCD_BLOCK = 512
-
-
-@lru_cache(maxsize=4)
-def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    ps = sieve_primes(bound)
-    blocks = []
-    for i in range(0, len(ps), _GCD_BLOCK):
-        chunk = tuple(ps[i:i + _GCD_BLOCK])
-        blocks.append((math.prod(chunk), chunk))
-    return tuple(blocks)
-
-
-def small_prime_factors(x: int, bound: int) -> list[int]:
-    """Distinct primes <= bound dividing x, by blocked gcd extraction."""
-    out = []
-    for prod_, chunk in _prime_blocks(bound):
-        g = math.gcd(x, prod_)
-        if g == 1:
-            continue
-        for p in chunk:
-            if g % p == 0:
-                out.append(p)
-                g //= p
-                if g == 1:
-                    break
-    return out
-
-
 def bounded_explore(roots: Sequence[Union[Node, int]], bound: int,
                     max_level: int) -> Iterator[Node]:
     """Breadth-first walk following only edges with prime <= bound.
 
-    Child primes come from trial division of value+1 below the bound:
-    no general factoring is ever attempted. Every reach is yielded, but
-    each value is expanded only once, so a value surfacing twice in the
-    stream marks two distinct edge paths to it.
+    Child primes are the primes up to the bound dividing value+1, found
+    by blocked gcds: no general factoring is ever attempted. Every reach
+    is yielded, but each value is expanded only once, so a value
+    surfacing twice in the stream marks two distinct edge paths to it.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")

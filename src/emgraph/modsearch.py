@@ -18,6 +18,7 @@ density report for the expected spacing of loop bases.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -28,7 +29,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .arith import Factorization, NotSquarefree, squarefree_stream
 from .classify import quadruple_case_of_pair
-from .tuples import PairRecord, PrimeTuple, ResidueClass, residue_base
+from .tuples import (PairRecord, PrimeTuple, ResidueClass,
+                     _share_proper_prefix, residue_base)
 
 
 class IncompleteFactorization(ValueError):
@@ -98,15 +100,8 @@ def _pair_search(m: int, primes: Sequence[int],
         P = tuple(primes[e[2]] for e in p_order)
         # the partner reads the assigned primes off the sorted chain
         Q = tuple(primes[e[2]] for e in chain[:-1])
-        if P == Q:
+        if P == Q or (irreducible_only and _share_proper_prefix(P, Q)):
             return
-        if irreducible_only:
-            pp = qq = 1
-            for i in range(k - 1):
-                pp *= P[i]
-                qq *= Q[i]
-                if pp == qq:
-                    return
         found.add((P, Q) if P <= Q else (Q, P))
 
     def descend(idx: int, d: int, dm: int, pbits: int,
@@ -194,7 +189,7 @@ def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
 def _require_squarefree(m: int, fz: Factorization) -> tuple[int, ...]:
     if not fz.complete:
         raise IncompleteFactorization(f"{m} has an unfactored cofactor")
-    if any(e > 1 for _, e in fz.factors):
+    if not fz.squarefree:
         raise NotSquarefree(f"{m} is not squarefree")
     if fz.n != m:
         raise ValueError("factorization does not match modulus")
@@ -315,17 +310,13 @@ def search_range(cfg: SearchConfig,
                        cfg.irreducible_only))
         start = end + 1
 
-    if cfg.worker_count == 1:
-        batches = map(_search_chunk, chunks)
+    parallel = cfg.worker_count > 1
+    with (multiprocessing.Pool(cfg.worker_count) if parallel
+          else contextlib.nullcontext()) as pool:
+        batches = (pool.imap(_search_chunk, chunks) if parallel
+                   else map(_search_chunk, chunks))
         for chunk, recs in zip(chunks, batches):
             yield from recs
             emitted += len(recs)
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, chunk[1], emitted)
-    else:
-        with multiprocessing.Pool(cfg.worker_count) as pool:
-            for chunk, recs in zip(chunks, pool.imap(_search_chunk, chunks)):
-                yield from recs
-                emitted += len(recs)
-                if checkpoint is not None:
-                    _write_checkpoint(checkpoint, chunk[1], emitted)

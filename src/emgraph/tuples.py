@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence, Union
 
-from .arith import crt, is_prime, mod_inverse
+from .arith import is_prime, mod_inverse
 
 MAX_FACTORIAL_K = 10
 
@@ -133,9 +133,9 @@ def residue_base(primes: Iterable[int]) -> int:
     """Least nonnegative n with p_i | p_1...p_{i-1} n + 1 for every i."""
     a, M = 0, 1
     for p in primes:
-        r = -mod_inverse(M, p) % p
-        t = (r - a) * pow(M, -1, p) % p
-        a += M * t
+        inv = mod_inverse(M, p)
+        # n = -1/M (mod p); lift a by the multiple of M that reaches it
+        a += M * ((-inv - a) * inv % p)
         M *= p
     return a
 
@@ -143,13 +143,7 @@ def residue_base(primes: Iterable[int]) -> int:
 def residue_class(P: TupleLike) -> ResidueClass:
     """The arithmetic progression of starting values admitting path P."""
     ps = _entries(P)
-    congruences = []
-    M = 1
-    for p in ps:
-        congruences.append((-mod_inverse(M, p) % p, p))
-        M *= p
-    a, m = crt(congruences)
-    return ResidueClass(a, m)
+    return ResidueClass(residue_base(ps), prod(ps))
 
 
 def equivalent(P: TupleLike, Q: TupleLike) -> bool:
@@ -189,6 +183,17 @@ def equivalence_class(P: TupleLike) -> list[PrimeTuple]:
     return out
 
 
+def _share_proper_prefix(ps: Sequence[int], qs: Sequence[int]) -> bool:
+    """Whether two equal-length orderings reach one proper prefix product."""
+    pp = qq = 1
+    for i in range(len(ps) - 1):
+        pp *= ps[i]
+        qq *= qs[i]
+        if pp == qq:
+            return True
+    return False
+
+
 def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
     """Two equivalent distinct orderings whose proper prefix products differ.
 
@@ -197,15 +202,7 @@ def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
     ps, qs = _entries(P), _entries(Q)
     if ps == qs or len(ps) != len(qs):
         return False
-    if not equivalent(ps, qs):
-        return False
-    pp = qq = 1
-    for i in range(len(ps) - 1):
-        pp *= ps[i]
-        qq *= qs[i]
-        if pp == qq:
-            return False
-    return True
+    return equivalent(ps, qs) and not _share_proper_prefix(ps, qs)
 
 
 @dataclass(frozen=True)
@@ -253,10 +250,20 @@ class PairRecord:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PairRecord":
+        """Parse a record, raising ValueError unless it is self-consistent:
+        the modulus is the product of p, p and q are equivalent, and every
+        residue is the class that p pins."""
         p = PrimeTuple(tuple(int(v) for v in obj["p"]))
         q = PrimeTuple(tuple(int(v) for v in obj["q"]))
         m = int(obj["modulus"])
+        if m != p.modulus:
+            raise ValueError(f"modulus {m} is not the product of {p}")
+        if not equivalent(p, q):
+            raise ValueError(f"{p} and {q} are not equivalent orderings")
         residues = tuple(ResidueClass(int(a), m) for a in obj["residues"])
+        rc = residue_class(p)
+        if any(r != rc for r in residues):
+            raise ValueError(f"a residue of {p} differs from {rc}")
         return PairRecord(p, q, residues, obj.get("kind", "general"))
 
     @staticmethod

@@ -1,6 +1,7 @@
 """Tests for primality, factoring, CRT, and the squarefree sieve."""
 
 import math
+import re
 
 import pytest
 import sympy
@@ -136,6 +137,24 @@ def test_factor_records_new_splits(tmp_path):
     n = 10000000019 * 10000000033
     arith.factor(n, cache=cache)
     assert arith.FactorCache(path).lookup(n)
+
+
+@pytest.mark.parametrize("bound", [0, 10])
+def test_factor_strips_table_primes_below_any_bound(bound):
+    # 11, 13 and 197 exceed the bound but not the 199 of is_prime's table
+    n = 11 * 13 * 197 * 1000000007
+    pol = arith.EffortPolicy(trial_bound=bound, rho_iterations=0,
+                             ecm_curves=0)
+    fz = arith.factor(n, pol)
+    assert fz.complete
+    assert fz.primes == (11, 13, 197, 1000000007)
+
+
+def test_factor_cache_rejects_malformed_line(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("15=3,5\n\n91 7,13\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3")):
+        arith.FactorCache(str(path))
 
 
 def test_factor_rejects_zero():

@@ -3,6 +3,10 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from emgraph import cli
 from emgraph.tuples import PairRecord
@@ -45,6 +49,15 @@ def test_verify_theorem_exit_code():
     assert out.strip().splitlines()[-1] == "OK"
     assert all(line.startswith("PASS") for line in
                out.strip().splitlines()[:-1])
+
+
+def test_module_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "emgraph.cli",
+                           "verify-theorem"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "OK"
 
 
 def test_expand_levels_csv():
@@ -128,6 +141,15 @@ def test_tables_empty_input(tmp_path):
     assert out.strip() == cli.TABLE_HEADER
 
 
+def test_tables_rejects_inconsistent_record(tmp_path):
+    recs = tmp_path / "recs.jsonl"
+    recs.write_text('{"kind":"triple","modulus":"31","p":["2","3","5"],'
+                    '"q":["5","3","2"],"residues":["19"]}\n')
+    code, out = run_capture(["tables", "--records", str(recs)])
+    assert code == 2
+    assert out == ""
+
+
 def test_usage_errors_exit_one():
     assert cli.run(["search-pairs", "--lo", "2"]) == 1
     assert cli.run(["no-such-command"]) == 1
@@ -139,6 +161,13 @@ def test_runtime_error_exit_two(tmp_path):
     code = cli.run(["explore", "--root", "1", "--bound", "5",
                     "--max-level", "2", "--watch",
                     str(tmp_path / "missing.jsonl")])
+    assert code == 2
+
+
+def test_malformed_cache_exit_two(tmp_path):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("not a cache line\n")
+    code = cli.run(["sequence", "--steps", "1", "--cache", str(cache)])
     assert code == 2
 
 

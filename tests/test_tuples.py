@@ -180,10 +180,25 @@ def test_pair_record_canonical_and_roundtrip():
 
 
 def test_pair_record_large_values_roundtrip():
-    primes, m, residues, _ = QUADRUPLE_ROWS[-1]
-    r = tp.make_pair(primes, tuple(reversed(primes)))
+    primes, m, residues, case = QUADRUPLE_ROWS[-1]
+    a, b, c, d = primes
+    assert case == "II"  # whose class pairs (a, b, c, d) with (d, c, a, b)
+    r = tp.make_pair(primes, (d, c, a, b))
     again = tp.PairRecord.from_json_line(r.to_json_line())
     assert again.modulus == m == r.modulus
+
+
+@pytest.mark.parametrize("field, value", [
+    ("modulus", "31"),  # not the product of p
+    ("q", ["3", "2", "5"]),  # not equivalent to p
+    ("residues", ["1"]),  # not the class p pins
+])
+def test_pair_record_rejects_inconsistent_record(field, value):
+    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    tp.PairRecord.from_json_obj(obj)
+    obj[field] = value
+    with pytest.raises(ValueError):
+        tp.PairRecord.from_json_obj(obj)
 
 
 def test_prime_tuple_validation():
