@@ -124,17 +124,49 @@ def _stream_records(records: Iterable[PairRecord], cfg: RunConfig) -> int:
         return 0
     for r in records:
         _emit(cfg.out, r.to_json_line())
+        # the record reaches the file before a checkpoint counts it
+        cfg.out.flush()
     return 0
 
 
-def _cmd_search_pairs(args: argparse.Namespace, cfg: RunConfig) -> int:
-    sc = modsearch.SearchConfig(
+def _search_config(args: argparse.Namespace) -> modsearch.SearchConfig:
+    return modsearch.SearchConfig(
         lo=args.lo, hi=args.hi, min_k=args.min_k,
         coprime_to=args.coprime_to,
         irreducible_only=args.irreducible_only,
         worker_count=args.workers)
-    return _stream_records(
-        modsearch.search_range(sc, checkpoint=args.checkpoint), cfg)
+
+
+def _records_kept(args: argparse.Namespace) -> int:
+    """Records of --out that a resumed search-pairs run keeps: the count in
+    its checkpoint. A CSV table cannot be resumed."""
+    if args.command != "search-pairs" or not args.checkpoint:
+        return 0
+    sc = _search_config(args)
+    lo, kept = modsearch.resume_point(sc, args.checkpoint)
+    if lo != sc.lo and args.format == "csv":
+        raise ValueError("a CSV table cannot be resumed from a checkpoint; "
+                         "search to JSONL and render it with tables")
+    return kept
+
+
+def _open_out(path: str, keep: int) -> TextIO:
+    """Open ``path`` for writing after its first ``keep`` lines."""
+    if not keep:
+        return open(path, "w", encoding="utf-8")
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        for _ in range(keep):
+            if not fh.readline().endswith(b"\n"):
+                raise ValueError(f"{path} holds fewer than the {keep} "
+                                 "records its checkpoint counts")
+        fh.truncate()
+    return open(path, "a", encoding="utf-8")
+
+
+def _cmd_search_pairs(args: argparse.Namespace, cfg: RunConfig) -> int:
+    return _stream_records(modsearch.search_range(
+        _search_config(args), checkpoint=args.checkpoint), cfg)
 
 
 def _cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -302,8 +334,9 @@ def run(argv: Sequence[str]) -> int:
     out = sys.stdout
     opened = None
     try:
+        keep = _records_kept(args)
         if args.out:
-            opened = out = open(args.out, "w", encoding="utf-8")
+            opened = out = _open_out(args.out, keep)
         cfg = RunConfig(
             policy=_policy_from(args) if hasattr(args, "trial_bound")
             else _default_policy(),

@@ -96,13 +96,14 @@ def _policy_fingerprint(policy: EffortPolicy) -> str:
             f"{policy.ecm_curves}:{policy.ecm_b1}")
 
 
-def save_frontier(path: str, level: int, policy: EffortPolicy,
+def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
                   nodes: Iterable[Node],
                   summaries: Sequence[LevelSummary]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "level": level,
             "policy": _policy_fingerprint(policy),
+            "root": str(root),
             "summaries": [[s.level, s.node_count, s.composite_count]
                           for s in summaries],
         }, sort_keys=True) + "\n")
@@ -114,21 +115,21 @@ def save_frontier(path: str, level: int, policy: EffortPolicy,
             }, sort_keys=True) + "\n")
 
 
-def load_frontier(path: str) -> tuple[int, str, list[LevelSummary],
+def load_frontier(path: str) -> tuple[int, int, str, list[LevelSummary],
                                       list[Node]]:
+    """(root, level, policy fingerprint, summaries, frontier) of a census
+    checkpoint; ValueError if a field is missing or malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        nodes = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            nodes.append(Node(int(obj["root"]),
-                              tuple(int(p) for p in obj["edges"]),
-                              bool(obj["complete"])))
-    summaries = [LevelSummary(*row) for row in header["summaries"]]
-    return int(header["level"]), header["policy"], summaries, nodes
+        lines = [json.loads(line) for line in fh if line.strip()]
+    try:
+        header = lines[0]
+        nodes = [Node(int(obj["root"]), tuple(int(p) for p in obj["edges"]),
+                      bool(obj["complete"])) for obj in lines[1:]]
+        summaries = [LevelSummary(*row) for row in header["summaries"]]
+        return (int(header["root"]), int(header["level"]), header["policy"],
+                summaries, nodes)
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed census checkpoint") from exc
 
 
 def bfs_levels(root: int, max_level: int,
@@ -140,7 +141,8 @@ def bfs_levels(root: int, max_level: int,
     ``composite_count`` for level L counts the unfactored cofactors hit
     while expanding level L-1, i.e. the children still hidden at L. The
     frontier and the summaries so far are checkpointed after each level
-    for resumption under the same policy.
+    for resumption under the same policy; a checkpoint of another root
+    raises ValueError.
     """
     if root < 1:
         raise ValueError("root must be >= 1")
@@ -149,7 +151,10 @@ def bfs_levels(root: int, max_level: int,
     summaries = [LevelSummary(0, 1, 0)]
     if checkpoint is not None:
         try:
-            lv, fp, sums, nodes = load_frontier(checkpoint)
+            saved_root, lv, fp, sums, nodes = load_frontier(checkpoint)
+            if saved_root != root:
+                raise ValueError(f"checkpoint {checkpoint} is a census from "
+                                 f"root {saved_root}, not {root}")
             if fp == _policy_fingerprint(policy) and lv <= max_level:
                 level, summaries, frontier = lv, sums, nodes
         except FileNotFoundError:
@@ -168,7 +173,8 @@ def bfs_levels(root: int, max_level: int,
         level += 1
         summaries.append(LevelSummary(level, len(frontier), blocked))
         if checkpoint is not None:
-            save_frontier(checkpoint, level, policy, frontier, summaries)
+            save_frontier(checkpoint, root, level, policy, frontier,
+                          summaries)
     return summaries
 
 

@@ -12,6 +12,24 @@ differ by exactly the prime assigned alongside the smaller element. The
 search walks positions 1..k, extending the chain one divisor at a time
 and pruning on those local rules, which kills most branches immediately.
 
+Irreducible pairs obey a global rule too. Let S and T be the sets of
+primes before p in P and in Q. If S = T, the prefixes of length |S| (or
+of length 1 if S is empty) have one product, so in an irreducible pair
+S != T. Both orderings take the edge p from the same start a, so
+a*prod(S) = -1 = a*prod(T) (mod p), hence prod(S) = prod(T) (mod p).
+Every prime p of m must therefore see two distinct subsets of the other
+primes with equal product mod p. The irreducible search checks this
+first, largest prime first, and returns nothing when some prime sees
+all 2^(k-1) subset products distinct. A prime p <= 2^(k-1) always
+passes, having more subsets than nonzero residues. In windows above 1e8
+the check rejected every modulus with three or four primes and nearly
+all with five; below 1e5 it rejects far fewer. For the moduli that
+pass, the same residue tables prune the backtracking: the prime placed
+next must collide at its predecessor set, and every unplaced prime must
+still have a colliding set containing the primes placed so far.
+Reducible pairs may share predecessor sets, so the search that keeps
+them uses neither rule.
+
 A permutation-enumeration oracle is provided for cross-checking, plus a
 density report for the expected spacing of loop bases.
 """
@@ -22,6 +40,7 @@ import contextlib
 import itertools
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -75,13 +94,71 @@ class DensityReport:
     inverse_density: Union[int, Fraction]
 
 
+def _collision_free_prime(primes: Sequence[int]) -> bool:
+    """Whether some prime p sees the subset products of the other primes
+    pairwise distinct mod p, which rules out every irreducible pair."""
+    half = 1 << (len(primes) - 1)  # subsets of the other primes
+    # largest prime first; a prime p <= half has more subsets than nonzero
+    # residues, so its products must collide
+    for p in reversed(primes):
+        if half < p:
+            prods = [1]
+            for q in primes:
+                if q != p:
+                    # a plain loop: a comprehension costs more on lists
+                    # this short
+                    for x in prods[:]:
+                        prods.append(x * q % p)
+            if len(set(prods)) == half:
+                return True
+    return False
+
+
+def _collision_masks(primes: Sequence[int], value: Sequence[int],
+                     ) -> tuple[list[int], list[int]]:
+    """Per-prime collision tables, as prime-bit masks indexed by the mask
+    ``used`` of primes already placed in P.
+
+    ``exact[used]`` holds the primes outside ``used`` for which ``used``
+    collides mod p with another subset: the primes that may take the next
+    position. ``allow[used]`` holds the primes that have a colliding
+    subset containing ``used``: every unplaced prime must be among them.
+    """
+    exact = [0] * len(value)
+    for b, p in enumerate(primes):
+        bit = 1 << b
+        masks = [mask for mask in range(len(value)) if not mask & bit]
+        res = [value[mask] % p for mask in masks]
+        count = Counter(res)
+        for mask, r in zip(masks, res):
+            if count[r] > 1:
+                exact[mask] |= bit
+    allow = exact[:]
+    for b in range(len(primes)):
+        bit = 1 << b
+        for mask in range(len(value)):
+            if not mask & bit:
+                allow[mask] |= allow[mask | bit]
+    return exact, allow
+
+
 def _pair_search(m: int, primes: Sequence[int],
                  irreducible_only: bool) -> list[tuple[tuple[int, ...],
                                                        tuple[int, ...]]]:
-    """Core backtracking search; returns canonical (P, Q) tuples."""
-    k = len(primes)
-    if k < 3:
+    """Core search; returns canonical (P, Q) tuples."""
+    # the filter runs before _backtrack, so a rejected modulus allocates
+    # none of the backtracking's closure cells
+    if len(primes) < 3 or (irreducible_only and
+                           _collision_free_prime(primes)):
         return []
+    return _backtrack(m, primes, irreducible_only)
+
+
+def _backtrack(m: int, primes: Sequence[int],
+               irreducible_only: bool) -> list[tuple[tuple[int, ...],
+                                                     tuple[int, ...]]]:
+    """The divisor-chain backtracking behind ``_pair_search``."""
+    k = len(primes)
     full = (1 << k) - 1
     # value of every divisor, indexed by prime-subset mask
     value = [1] * (1 << k)
@@ -90,6 +167,10 @@ def _pair_search(m: int, primes: Sequence[int],
         p = primes[b]
         for mask in range(bit):
             value[mask | bit] = value[mask] * p
+    if irreducible_only:
+        exact, allow = _collision_masks(primes, value)
+    else:
+        exact = allow = [full ^ used for used in range(full + 1)]
 
     # chain entries (divisor, mask, assigned prime bit); virtual top last
     chain: list[tuple[int, int, int]] = [(m, full, -1)]
@@ -126,12 +207,15 @@ def _pair_search(m: int, primes: Sequence[int],
         if pos == k:
             emit()
             return
+        if allow[used] | used != full:
+            return  # an unplaced prime can no longer meet a collision
+        free = exact[used]
         low = chain[0]
         lo_mask = low[1]
         if lo_mask:
             # gap below the current minimum: new adjacency (d, low) wants
-            # a prime dividing low/d, except under the virtual top
-            lo_pb = (full if low[2] < 0 else lo_mask) & ~used
+            # a prime dividing low/d (the virtual top's mask is full)
+            lo_pb = lo_mask & free
             sub = lo_mask
             while True:
                 sub = (sub - 1) & lo_mask
@@ -149,7 +233,7 @@ def _pair_search(m: int, primes: Sequence[int],
             if step_val == above[0]:
                 continue  # tight adjacency, nothing fits between
             span = above[1] & ~step_mask
-            ab_pb = (full if above[2] < 0 else above[1]) & ~used
+            ab_pb = above[1] & free
             # d = step_val * divisor(span submask), strictly below above
             sub = span
             while True:
@@ -285,21 +369,26 @@ def _write_checkpoint(path: str, last: int, count: int) -> None:
     os.replace(tmp, path)
 
 
+def resume_point(cfg: SearchConfig,
+                 checkpoint: Optional[str]) -> tuple[int, int]:
+    """(first modulus left to search, records already emitted) for a run
+    of ``cfg`` that resumes from ``checkpoint``."""
+    state = read_checkpoint(checkpoint) if checkpoint is not None else None
+    if state is None or state[0] < cfg.lo:
+        return cfg.lo, 0
+    return state[0] + 1, state[1]
+
+
 def search_range(cfg: SearchConfig,
                  checkpoint: Optional[str] = None) -> Iterator[PairRecord]:
     """Stream every pair record with modulus in [cfg.lo, cfg.hi], in order.
 
     The range is cut into fixed chunks processed left to right, so output
     is identical for any worker count; the checkpoint file records the
-    last fully emitted chunk boundary for restarts.
+    last fully emitted chunk boundary and the record count so far, and a
+    run given that file yields only the records after them.
     """
-    lo = cfg.lo
-    emitted = 0
-    if checkpoint is not None:
-        state = read_checkpoint(checkpoint)
-        if state is not None and state[0] >= lo:
-            lo = state[0] + 1
-            emitted = state[1]
+    lo, emitted = resume_point(cfg, checkpoint)
     if lo > cfg.hi:
         return
     chunks = []

@@ -251,13 +251,15 @@ class PairRecord:
     @staticmethod
     def from_json_obj(obj: dict) -> "PairRecord":
         """Parse a record, raising ValueError unless it is self-consistent:
-        the modulus is the product of p, p and q are equivalent, and every
-        residue is the class that p pins."""
+        the modulus is the product of p, p and q are distinct equivalent
+        orderings, and every residue is the class that p pins."""
         p = PrimeTuple(tuple(int(v) for v in obj["p"]))
         q = PrimeTuple(tuple(int(v) for v in obj["q"]))
         m = int(obj["modulus"])
         if m != p.modulus:
             raise ValueError(f"modulus {m} is not the product of {p}")
+        if p == q:
+            raise ValueError(f"{p} is paired with itself")
         if not equivalent(p, q):
             raise ValueError(f"{p} and {q} are not equivalent orderings")
         residues = tuple(ResidueClass(int(a), m) for a in obj["residues"])

@@ -43,6 +43,53 @@ def test_search_pairs_round_trip_and_determinism(tmp_path):
                for r, l in zip(records, out1.read_text().splitlines()))
 
 
+def _search_argv(out, ck):
+    return ["search-pairs", "--lo", "2", "--hi", "140000",
+            "--irreducible-only", "--checkpoint", str(ck), "--out", str(out)]
+
+
+def test_search_pairs_rerun_keeps_output(tmp_path):
+    out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
+    assert cli.run(_search_argv(out, ck)) == 0
+    full = out.read_bytes()
+    assert ck.read_text().split() == ["140000", str(len(full.splitlines()))]
+    assert cli.run(_search_argv(out, ck)) == 0
+    assert out.read_bytes() == full
+
+
+def test_search_pairs_resume_after_kill(tmp_path):
+    out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
+    assert cli.run(_search_argv(out, ck)) == 0
+    full = out.read_bytes()
+    lines = full.splitlines(keepends=True)
+    # killed after the first chunk's checkpoint, with records of the
+    # second chunk already written: those are dropped and searched again
+    count = sum(PairRecord.from_json_line(l).modulus <= 65537 for l in lines)
+    assert 0 < count < len(lines)
+    ck.write_text(f"65537 {count}\n")
+    out.write_bytes(b"".join(lines[:count + 3]))
+    assert cli.run(_search_argv(out, ck)) == 0
+    assert out.read_bytes() == full
+    # an output holding fewer records than the checkpoint counts
+    ck.write_text(f"65537 {count}\n")
+    out.write_bytes(b"".join(lines[:count - 1]))
+    assert cli.run(_search_argv(out, ck)) == 2
+    # a CSV table cannot be resumed
+    assert cli.run(_search_argv(out, ck) + ["--format", "csv"]) == 2
+
+
+def test_expand_checkpoint_of_another_root(tmp_path):
+    ck = tmp_path / "frontier.ck"
+    argv = ["expand", "--max-level", "3", "--checkpoint", str(ck)]
+    code, five = run_capture(argv + ["--root", "5"])
+    assert code == 0
+    assert json.loads(ck.read_text().split("\n")[0])["root"] == "5"
+    code, out = run_capture(argv + ["--root", "1"])
+    assert code == 2 and out == ""
+    # the same root resumes
+    assert run_capture(argv + ["--root", "5"]) == (0, five)
+
+
 def test_verify_theorem_exit_code():
     code, out = run_capture(["verify-theorem"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Tests for graph expansion, paths, sequences, and the growth model."""
 
+import json
 import math
 
 import pytest
@@ -67,6 +68,17 @@ def test_bfs_levels_checkpoint_resume(tmp_path):
     resumed = gr.bfs_levels(1, 7, checkpoint=ck)
     assert resumed[:6] == first
     assert [s.node_count for s in resumed] == [1, 1, 1, 1, 1, 2, 4, 9]
+
+
+def test_load_frontier_rejects_header_without_root(tmp_path):
+    ck = tmp_path / "frontier.jsonl"
+    gr.bfs_levels(1, 3, checkpoint=str(ck))
+    header, rest = ck.read_text().split("\n", 1)
+    obj = json.loads(header)
+    del obj["root"]
+    ck.write_text(json.dumps(obj) + "\n" + rest)
+    with pytest.raises(ValueError, match="malformed"):
+        gr.bfs_levels(1, 4, checkpoint=str(ck))
 
 
 def test_bfs_levels_deterministic():

@@ -1,5 +1,6 @@
 """Tests for the bounded-modulus pair search and its brute-force oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,54 @@ def test_oracle_equivalence_deep_chains(m):
             ms.brute_force_pairs(m, fz, irr)
 
 
+# collision filter -----------------------------------------------------------
+
+def test_oracle_equivalence_high_window():
+    # above 1e8 the primes are large enough that the filter decides most
+    # moduli, unlike below 1e5 where 2^(k-1) often exceeds a prime
+    rejected = set()
+    for m, fz in squarefree_stream(10 ** 8, 10 ** 8 + 3000, 3):
+        if fz.omega > 7:
+            continue
+        assert ms.search_modulus(m, fz, True) == \
+            ms.brute_force_pairs(m, fz, True), m
+        if ms._collision_free_prime(fz.primes):
+            rejected.add(fz.omega)
+    assert rejected >= {3, 4, 5}
+
+
+def test_collision_lemma_on_coprime_rows():
+    # each prime of an irreducible pair has distinct predecessor sets S, T
+    # in P and Q with equal products mod the prime
+    for _, m, _, _ in COPRIME_ROWS:
+        recs = ms.brute_force_pairs(m, factor(m), irreducible_only=True)
+        assert recs
+        for r in recs:
+            P, Q = r.p.primes, r.q.primes
+            for p in P:
+                S, T = P[:P.index(p)], Q[:Q.index(p)]
+                assert set(S) != set(T)
+                assert math.prod(S) % p == math.prod(T) % p
+            assert not ms._collision_free_prime(sorted(P))
+
+
+def test_collision_masks_match_definition():
+    primes = factor(4930).primes  # (2, 5, 17, 29)
+    k = len(primes)
+    value = [math.prod(primes[b] for b in range(k) if mask >> b & 1)
+             for mask in range(1 << k)]
+    exact, allow = ms._collision_masks(primes, value)
+    for used in range(1 << k):
+        for b, p in enumerate(primes):
+            others = [s for s in range(1 << k) if not s >> b & 1]
+            collides = {s for s in others
+                        if any(t != s and (value[t] - value[s]) % p == 0
+                               for t in others)}
+            assert bool(exact[used] >> b & 1) == (used in collides)
+            assert bool(allow[used] >> b & 1) == \
+                any(s & used == used for s in collides)
+
+
 # density -------------------------------------------------------------------
 
 def test_density_examples():
@@ -200,10 +249,13 @@ def test_search_range_checkpoint_resume(tmp_path):
             break
     state = ms.read_checkpoint(ck)
     assert state is not None and state[0] < 140_000
+    count = state[1]
+    assert 0 < count < len(first)  # the interrupted chunk is searched again
     rest = list(ms.search_range(ms.SearchConfig(2, 140_000), checkpoint=ck))
-    stitched = first + [r for r in rest if r not in first]
-    assert {r.to_json_line() for r in stitched} >= \
-        {r.to_json_line() for r in full}
+    assert first[:count] + rest == full
+    # a finished job resumes to nothing
+    assert list(ms.search_range(ms.SearchConfig(2, 140_000),
+                                checkpoint=ck)) == []
 
 
 def test_search_config_validation():

@@ -192,6 +192,7 @@ def test_pair_record_large_values_roundtrip():
     ("modulus", "31"),  # not the product of p
     ("q", ["3", "2", "5"]),  # not equivalent to p
     ("residues", ["1"]),  # not the class p pins
+    ("q", ["2", "3", "5"]),  # p paired with itself
 ])
 def test_pair_record_rejects_inconsistent_record(field, value):
     obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
