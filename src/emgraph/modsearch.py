@@ -1,16 +1,19 @@
 """Exhaustive discovery of equivalent tuple pairs of bounded modulus.
 
-For a fixed squarefree modulus m, two orderings P and Q of its primes sit
-in one residue class exactly when each position i has
+Let m be a squarefree modulus with primes p_1 < ... < p_k. An ordering
+P of them admits exactly the starting values a with
 
-    p_1 ... p_{i-1} = d_i  (mod p_i)
+    a * prod(S_p) = -1  (mod p)
 
-for the divisor d_i of m equal to the appropriate prefix product of Q.
-The k values d_i are distinct proper divisors of m, pairwise comparable
-under divisibility, and consecutive elements of the sorted divisor chain
-differ by exactly the prime assigned alongside the smaller element. The
-search walks positions 1..k, extending the chain one divisor at a time
-and pruning on those local rules, which kills most branches immediately.
+for every prime p, where S_p is the set of primes before p in P. So the
+residue class of P is fixed by its residue vector (prod(S_p) mod p), and
+two orderings are equivalent exactly when their vectors agree. The
+search walks the orderings depth first, one prime at a time, and packs
+the vector into one integer key on the way: the digit of p_b,
+prod(S_{p_b}) mod p_b, lies in [1, p_b), and weighting it by
+p_1 ... p_{b-1} makes the key a mixed-radix number. Each complete
+ordering is packed into one integer code and filed under its key; the
+pairs are the combinations inside each key's class.
 
 Irreducible pairs obey a global rule too. Let S and T be the sets of
 primes before p in P and in Q. If S = T, the prefixes of length |S| (or
@@ -24,11 +27,14 @@ all 2^(k-1) subset products distinct. A prime p <= 2^(k-1) always
 passes, having more subsets than nonzero residues. In windows above 1e8
 the check rejected every modulus with three or four primes and nearly
 all with five; below 1e5 it rejects far fewer. For the moduli that
-pass, the same residue tables prune the backtracking: the prime placed
-next must collide at its predecessor set, and every unplaced prime must
+pass, the same residue tables prune the walk: the prime placed next
+must collide at its predecessor set, and every unplaced prime must
 still have a colliding set containing the primes placed so far.
 Reducible pairs may share predecessor sets, so the search that keeps
-them uses neither rule.
+them uses neither rule and files all k! orderings. Memory grows with
+the orderings filed: the products of the first nine and ten primes
+take about 40 MB and 0.55 GB in either mode, as primes that small
+prune little.
 
 A permutation-enumeration oracle is provided for cross-checking, plus a
 density report for the expected spacing of loop bases.
@@ -43,7 +49,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Optional, Sequence, Union
 
 from .arith import Factorization, NotSquarefree, squarefree_stream
@@ -147,17 +152,18 @@ def _pair_search(m: int, primes: Sequence[int],
                                                        tuple[int, ...]]]:
     """Core search; returns canonical (P, Q) tuples."""
     # the filter runs before _backtrack, so a rejected modulus allocates
-    # none of the backtracking's closure cells
+    # none of the walk's closure cells
     if len(primes) < 3 or (irreducible_only and
                            _collision_free_prime(primes)):
         return []
-    return _backtrack(m, primes, irreducible_only)
+    return _backtrack(primes, irreducible_only)
 
 
-def _backtrack(m: int, primes: Sequence[int],
+def _backtrack(primes: Sequence[int],
                irreducible_only: bool) -> list[tuple[tuple[int, ...],
                                                      tuple[int, ...]]]:
-    """The divisor-chain backtracking behind ``_pair_search``."""
+    """The pruned walk over orderings behind ``_pair_search``, grouping
+    them by residue vector."""
     k = len(primes)
     full = (1 << k) - 1
     # value of every divisor, indexed by prime-subset mask
@@ -171,84 +177,43 @@ def _backtrack(m: int, primes: Sequence[int],
         exact, allow = _collision_masks(primes, value)
     else:
         exact = allow = [full ^ used for used in range(full + 1)]
+    # digit weights of the mixed-radix class key
+    weight = [value[(1 << b) - 1] for b in range(k)]
+    first: dict[int, int] = {}  # class key -> code of its first ordering
+    more: dict[int, list[int]] = {}  # class key -> codes of the others
 
-    # chain entries (divisor, mask, assigned prime bit); virtual top last
-    chain: list[tuple[int, int, int]] = [(m, full, -1)]
-    p_order: list[tuple[int, int, int]] = []  # entries in position order
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def emit() -> None:
-        P = tuple(primes[e[2]] for e in p_order)
-        # the partner reads the assigned primes off the sorted chain
-        Q = tuple(primes[e[2]] for e in chain[:-1])
-        if P == Q or (irreducible_only and _share_proper_prefix(P, Q)):
-            return
-        found.add((P, Q) if P <= Q else (Q, P))
-
-    def descend(idx: int, d: int, dm: int, pbits: int,
-                pos: int, prefix: int, used: int) -> None:
-        # try every admissible prime for divisor d inserted at chain[idx]
-        t = prefix - d
-        if t and gcd(t, value[pbits]) == 1:
-            return
-        while pbits:
-            pb = pbits & -pbits
-            pbits ^= pb
-            b = pb.bit_length() - 1
-            if t % primes[b] == 0:
-                entry = (d, dm, b)
-                chain.insert(idx, entry)
-                p_order.append(entry)
-                step(pos + 1, prefix * primes[b], used | pb)
-                p_order.pop()
-                del chain[idx]
-
-    def step(pos: int, prefix: int, used: int) -> None:
-        if pos == k:
-            emit()
-            return
+    def walk(used: int, key: int, code: int) -> None:
         if allow[used] | used != full:
             return  # an unplaced prime can no longer meet a collision
+        v = value[used]
         free = exact[used]
-        low = chain[0]
-        lo_mask = low[1]
-        if lo_mask:
-            # gap below the current minimum: new adjacency (d, low) wants
-            # a prime dividing low/d (the virtual top's mask is full)
-            lo_pb = lo_mask & free
-            sub = lo_mask
-            while True:
-                sub = (sub - 1) & lo_mask
-                if not irreducible_only or value[sub] != prefix:
-                    pbits = lo_pb & ~sub
-                    if pbits:
-                        descend(0, value[sub], sub, pbits, pos, prefix, used)
-                if sub == 0:
-                    break
-        for idx in range(len(chain) - 1):
-            below = chain[idx]
-            above = chain[idx + 1]
-            step_mask = below[1] | (1 << below[2])
-            step_val = value[step_mask]
-            if step_val == above[0]:
-                continue  # tight adjacency, nothing fits between
-            span = above[1] & ~step_mask
-            ab_pb = above[1] & free
-            # d = step_val * divisor(span submask), strictly below above
-            sub = span
-            while True:
-                sub = (sub - 1) & span
-                d = step_val * value[sub]
-                if not irreducible_only or d != prefix:
-                    dm = step_mask | sub
-                    pbits = ab_pb & ~dm
-                    if pbits:
-                        descend(idx + 1, d, dm, pbits, pos, prefix, used)
-                if sub == 0:
-                    break
+        while free:
+            pb = free & -free
+            free ^= pb
+            b = pb.bit_length() - 1
+            nkey = key + v % primes[b] * weight[b]
+            ncode = code * k + b
+            if used | pb != full:
+                walk(used | pb, nkey, ncode)
+            elif first.setdefault(nkey, ncode) != ncode:
+                more.setdefault(nkey, []).append(ncode)
 
-    step(0, 1, 0)
-    return sorted(found)
+    walk(0, 0, 0)
+
+    def ordering(code: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(k):
+            code, b = divmod(code, k)
+            out.append(primes[b])
+        return tuple(out[::-1])
+
+    pairs = []
+    for key, codes in more.items():
+        members = sorted(map(ordering, [first[key], *codes]))
+        for P, Q in itertools.combinations(members, 2):
+            if not (irreducible_only and _share_proper_prefix(P, Q)):
+                pairs.append((P, Q))
+    return sorted(pairs)
 
 
 def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
@@ -351,15 +316,21 @@ def _search_chunk(args: tuple[int, int, int, int, bool]) -> list[PairRecord]:
 
 
 def read_checkpoint(path: str) -> Optional[tuple[int, int]]:
-    """(last fully processed modulus, records emitted so far), if any."""
+    """(last fully processed modulus, records emitted so far), or None when
+    the file does not exist; anything but two integers is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read().split()
     except FileNotFoundError:
         return None
-    if len(text) < 2:
-        return None
-    return int(text[0]), int(text[1])
+    try:
+        last, count = map(int, text)
+    except ValueError:
+        raise ValueError(f"checkpoint {path} does not hold two integers "
+                         "(last modulus, record count)") from None
+    if count < 0:
+        raise ValueError(f"checkpoint {path} has a negative record count")
+    return last, count
 
 
 def _write_checkpoint(path: str, last: int, count: int) -> None:
@@ -372,11 +343,20 @@ def _write_checkpoint(path: str, last: int, count: int) -> None:
 def resume_point(cfg: SearchConfig,
                  checkpoint: Optional[str]) -> tuple[int, int]:
     """(first modulus left to search, records already emitted) for a run
-    of ``cfg`` that resumes from ``checkpoint``."""
+    of ``cfg`` that resumes from ``checkpoint``.
+
+    A job only ever checkpoints a chunk end inside [lo, hi], so a last
+    modulus outside that range marks a checkpoint of another job.
+    """
     state = read_checkpoint(checkpoint) if checkpoint is not None else None
-    if state is None or state[0] < cfg.lo:
+    if state is None:
         return cfg.lo, 0
-    return state[0] + 1, state[1]
+    last, count = state
+    if not cfg.lo <= last <= cfg.hi:
+        raise ValueError(f"checkpoint {checkpoint} ends at modulus {last}, "
+                         f"outside [{cfg.lo}, {cfg.hi}]: it belongs to "
+                         "another job")
+    return last + 1, count
 
 
 def search_range(cfg: SearchConfig,

@@ -78,6 +78,26 @@ def test_search_pairs_resume_after_kill(tmp_path):
     assert cli.run(_search_argv(out, ck) + ["--format", "csv"]) == 2
 
 
+def test_search_pairs_damaged_checkpoint(tmp_path):
+    out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
+    out.write_text("kept\n")
+    ck.write_text("12\n")
+    assert cli.run(_search_argv(out, ck)) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_search_pairs_checkpoint_of_another_job(tmp_path):
+    out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
+    argv = ["search-pairs", "--lo", "2", "--irreducible-only",
+            "--checkpoint", str(ck), "--out", str(out)]
+    assert cli.run(argv + ["--hi", "3000"]) == 0
+    full = out.read_bytes()
+    assert len(full.splitlines()) == 40
+    # the checkpoint's last modulus, 3000, lies outside [2, 1000]
+    assert cli.run(argv + ["--hi", "1000"]) == 2
+    assert out.read_bytes() == full
+
+
 def test_expand_checkpoint_of_another_root(tmp_path):
     ck = tmp_path / "frontier.ck"
     argv = ["expand", "--max-level", "3", "--checkpoint", str(ck)]

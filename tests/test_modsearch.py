@@ -1,5 +1,6 @@
 """Tests for the bounded-modulus pair search and its brute-force oracle."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -125,6 +126,25 @@ def test_oracle_equivalence_deep_chains(m):
     for irr in (False, True):
         assert ms.search_modulus(m, fz, irr) == \
             ms.brute_force_pairs(m, fz, irr)
+
+
+@pytest.mark.parametrize("irr, count, digest", [
+    (True, 668,
+     "5aa6dc919bf09a0c1819c206aedc93eadbaa07ee27f27bb6c6a5713d9cd21d62"),
+    (False, 40104,
+     "88f49c78f118efa0b5b799321c9eb92978783bbf81a120a792c0e2629bcafcd3"),
+], ids=["irreducible", "reducible"])
+def test_nine_primes_pinned(irr, count, digest):
+    # the oracle stops at omega 8; count and sha256 of the JSONL records
+    # of the product of the first nine primes are pinned instead
+    m = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    recs = ms.search_modulus(m, factor(m), irr)
+    assert len(recs) == count
+    text = "".join(r.to_json_line() + "\n" for r in recs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if irr:
+        assert all(tp.is_irreducible_pair(r.p.primes, r.q.primes)
+                   for r in recs)
 
 
 # collision filter -----------------------------------------------------------
@@ -256,6 +276,21 @@ def test_search_range_checkpoint_resume(tmp_path):
     # a finished job resumes to nothing
     assert list(ms.search_range(ms.SearchConfig(2, 140_000),
                                 checkpoint=ck)) == []
+
+
+def test_checkpoint_validation(tmp_path):
+    ck = tmp_path / "ck"
+    assert ms.read_checkpoint(str(ck)) is None
+    for text in ("", "12\n", "12 3 4\n", "12 x\n", "12 -1\n"):
+        ck.write_text(text)
+        with pytest.raises(ValueError):
+            ms.read_checkpoint(str(ck))
+    # a chunk end outside [lo, hi] belongs to another job
+    ck.write_text("3000 40\n")
+    assert ms.resume_point(ms.SearchConfig(2, 3000), str(ck)) == (3001, 40)
+    for cfg in (ms.SearchConfig(2, 1000), ms.SearchConfig(3001, 5000)):
+        with pytest.raises(ValueError):
+            ms.resume_point(cfg, str(ck))
 
 
 def test_search_config_validation():
