@@ -11,11 +11,12 @@ to general factoring.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 
 class NotInvertible(ValueError):
@@ -519,47 +520,58 @@ def crt(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return a, M
 
 
+@functools.lru_cache(maxsize=4)
+def _base_primes(bits: int) -> tuple[int, ...]:
+    """The primes below 2**bits, kept for every later stream call."""
+    return tuple(sieve_primes((1 << bits) - 1))
+
+
 def squarefree_stream(lo: int, hi: int, min_omega: int = 0,
-                      coprime_to: int = 1,
-                      ) -> Iterator[tuple[int, Factorization]]:
+                      coprime_to: int = 1, *, primes_only: bool = False,
+                      ) -> Iterator[tuple[int, Union[Factorization,
+                                                     list[int]]]]:
     """Yield each squarefree m in [lo, hi] with its complete factorization.
 
     Filters to at least ``min_omega`` distinct prime factors and
-    gcd(m, coprime_to) == 1. Entirely sieve-driven: the residual after
-    removing primes up to sqrt(hi) is 1 or a single large prime.
+    gcd(m, coprime_to) == 1. With ``primes_only`` each m comes with the
+    list of its primes in increasing order instead of a Factorization.
+    Entirely sieve-driven: each segment of 2**16 integers is sieved by
+    the primes up to the square root of its end, and m over the product
+    of the primes found is 1 or a single large prime.
     """
     if lo < 1 or lo > hi:
         raise ValueError("need 1 <= lo <= hi")
     if coprime_to < 1:
         raise ValueError("coprime_to must be >= 1")
-    base = sieve_primes(math.isqrt(hi))
+    base = _base_primes(math.isqrt(hi).bit_length())
     seg = 1 << 16
-    gcd = math.gcd
+    gcd, prod = math.gcd, math.prod
     for start in range(lo, hi + 1, seg):
         end = min(start + seg - 1, hi)
         size = end - start + 1
-        residual = list(range(start, end + 1))
+        root = math.isqrt(end)
         facs: list[list[int]] = [[] for _ in range(size)]
         sqf = bytearray([1]) * size
         for p in base:
-            first = -start % p
-            for i in range(first, size, p):
-                facs[i].append(p)
-                residual[i] //= p
+            if p > root:
+                break
+            for fs in facs[-start % p::p]:
+                fs.append(p)
             pp = p * p
             first = -start % pp
-            for i in range(first, size, pp):
-                sqf[i] = 0
-        for i in range(size):
-            if not sqf[i]:
-                continue
-            m = start + i
+            if first < size:
+                sqf[first::pp] = bytes((size - 1 - first) // pp + 1)
+        for i in itertools.compress(range(size), sqf):
             fs = facs[i]
-            r = residual[i]
+            if len(fs) + 1 < min_omega:
+                continue  # the cofactor adds at most one prime
+            m = start + i
+            if coprime_to > 1 and gcd(m, coprime_to) != 1:
+                continue
+            r = m // prod(fs)
             if r > 1:
                 fs.append(r)
             if len(fs) < min_omega:
                 continue
-            if coprime_to > 1 and gcd(m, coprime_to) != 1:
-                continue
-            yield m, Factorization(m, tuple((p, 1) for p in fs))
+            yield m, (fs if primes_only
+                      else Factorization(m, tuple((p, 1) for p in fs)))

@@ -218,6 +218,10 @@ def _backtrack(primes: Sequence[int],
 
 def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
                  ) -> list[PairRecord]:
+    if not pairs:
+        return []
+    # every pair orders the primes of m: check them once, not per record
+    PrimeTuple(pairs[0][0])
     out = []
     for P, Q in pairs:
         a = residue_base(P)
@@ -228,7 +232,7 @@ def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
             tag = quadruple_case_of_pair(P, Q)
             if tag is not None:
                 kind = f"quadruple-case-{tag}"
-        rec = PairRecord(PrimeTuple(P), PrimeTuple(Q),
+        rec = PairRecord(PrimeTuple._trusted(P), PrimeTuple._trusted(Q),
                          (ResidueClass(a, m),), kind)
         out.append(rec)
     out.sort(key=lambda r: (r.residues[0].a, r.p.primes))
@@ -308,8 +312,9 @@ def density_report(records: Sequence[PairRecord]) -> DensityReport:
 def _search_chunk(args: tuple[int, int, int, int, bool]) -> list[PairRecord]:
     lo, hi, min_k, coprime_to, irreducible_only = args
     out: list[PairRecord] = []
-    for m, fz in squarefree_stream(lo, hi, min_k, coprime_to):
-        pairs = _pair_search(m, fz.primes, irreducible_only)
+    for m, primes in squarefree_stream(lo, hi, min_k, coprime_to,
+                                       primes_only=True):
+        pairs = _pair_search(m, primes, irreducible_only)
         if pairs:
             out.extend(_records_for(m, pairs))
     return out

@@ -41,6 +41,14 @@ class PrimeTuple:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
+    @classmethod
+    def _trusted(cls, primes: tuple[int, ...]) -> "PrimeTuple":
+        """A tuple whose entries the caller has already checked, built
+        without the checks of ``__post_init__``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "primes", primes)
+        return out
+
     @property
     def k(self) -> int:
         return len(self.primes)

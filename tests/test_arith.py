@@ -255,3 +255,51 @@ def test_squarefree_stream_min_omega_and_coprime():
         assert fz.omega >= 4
         assert math.gcd(m, 15) == 1
         assert fz.product() == m
+
+
+def check_stream(lo, hi, min_omega=0, coprime_to=1):
+    """Both item kinds of the stream against trial division of every n."""
+    expect = []
+    for n in range(lo, hi + 1):
+        facs = trial_factorization(n)
+        if (all(e == 1 for _, e in facs) and len(facs) >= min_omega
+                and math.gcd(n, coprime_to) == 1):
+            expect.append((n, facs))
+    full = list(arith.squarefree_stream(lo, hi, min_omega, coprime_to))
+    lean = list(arith.squarefree_stream(lo, hi, min_omega, coprime_to,
+                                        primes_only=True))
+    assert [(m, fz.n, fz.factors, fz.cofactor) for m, fz in full] == \
+        [(n, n, facs, 1) for n, facs in expect]
+    assert lean == [(n, [p for p, _ in facs]) for n, facs in expect]
+    return expect
+
+
+def test_squarefree_stream_crosses_segment_boundary():
+    # segments are 2^16 wide from lo, so the second starts at lo + 65536
+    expect = check_stream(2, 2 + 65536 + 3000, 3)
+    assert any(m >= 2 + 65536 for m, _ in expect)
+
+
+def test_squarefree_stream_one():
+    assert check_stream(1, 1) == [(1, ())]
+    assert check_stream(1, 1, 1) == []
+
+
+def test_squarefree_stream_high_window():
+    # above 1e8 most base primes exceed the 5000-wide segment
+    check_stream(10 ** 8, 10 ** 8 + 5000)
+
+
+def test_squarefree_stream_large_cofactor():
+    # 6p and 30p reach the minimum omega only through the cofactor p,
+    # a prime above the square root of hi
+    for m in (6 * 1009, 6 * 65537, 30 * 99991):
+        assert check_stream(m, m, 3) == [(m, trial_factorization(m))]
+    expect = check_stream(6000, 6100, 3)
+    assert (6 * 1009, ((2, 1), (3, 1), (1009, 1))) in expect
+
+
+def test_squarefree_stream_coprime_filter():
+    expect = check_stream(2, 20000, 3, 2 * 3 * 7 * 43)
+    assert expect and all(p not in (2, 3, 7, 43)
+                          for _, facs in expect for p, _ in facs)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emgraph import arith
 from emgraph import modsearch as ms
 from emgraph import tuples as tp
 from emgraph.arith import NotSquarefree, Factorization, factor, squarefree_stream
@@ -145,6 +146,37 @@ def test_nine_primes_pinned(irr, count, digest):
     if irr:
         assert all(tp.is_irreducible_pair(r.p.primes, r.q.primes)
                    for r in recs)
+
+
+def test_search_modulus_checks_primes():
+    # records are built from the primes of the factorization unchecked,
+    # after one check of those primes per modulus
+    fz = Factorization(270, ((2, 1), (3, 1), (5, 1), (9, 1)))
+    assert ms._pair_search(270, fz.primes, True)
+    for irr in (False, True):
+        with pytest.raises(ValueError, match="9 is not prime"):
+            ms.search_modulus(270, fz, irr)
+
+
+@pytest.mark.parametrize("lo, hi", [(10 ** 8, 10 ** 8 + 3000), (2, 60000)])
+@pytest.mark.parametrize("irr", [True, False], ids=["irr", "red"])
+def test_search_chunk_matches_search_modulus(lo, hi, irr):
+    # the range driver takes plain prime lists from the stream; its
+    # records must be those of search_modulus on the Factorization items
+    expect = [rec for m, fz in squarefree_stream(lo, hi, 3)
+              for rec in ms.search_modulus(m, fz, irr)]
+    assert ms._search_chunk((lo, hi, 3, 1, irr)) == expect
+
+
+def test_search_chunk_builds_no_factorization(monkeypatch):
+    expect = ms._search_chunk((2, 20000, 3, 1, True))
+    assert expect
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Factorization was built per modulus")
+
+    monkeypatch.setattr(arith, "Factorization", refuse)
+    assert ms._search_chunk((2, 20000, 3, 1, True)) == expect
 
 
 # collision filter -----------------------------------------------------------
