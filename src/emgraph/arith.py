@@ -2,8 +2,9 @@
 
 Primality testing (deterministic below 2**64, strong-probable-prime style
 above), small-prime extraction by blocked gcds against prime products, a
-staged factoring ladder (small primes, Brent's cycle method, elliptic
-curves) backed by a persistent factor cache, modular inverses, Chinese
+staged factoring ladder (small primes, a short pass of Brent's cycle
+method, elliptic curves with Montgomery's stage 2, then a long Brent pass)
+backed by a persistent factor cache, modular inverses, Chinese
 remaindering, and a segmented squarefree enumerator that never falls back
 to general factoring.
 """
@@ -137,8 +138,16 @@ def is_prime(n: int) -> bool:
 class EffortPolicy:
     """Knobs for the factoring ladder.
 
-    All zero-cost stages run unconditionally; ``time_budget`` of 0 means
-    unlimited time.
+    The ladder strips the primes up to ``trial_bound`` (and always those
+    up to 199) by gcds. Each composite left then tries, in order: the
+    factor cache and the perfect-power test, which always run; a short
+    Brent rho pass, one polynomial and at most min(``rho_iterations``,
+    4096) steps; ``ecm_curves`` elliptic curves, each with stage 1 to its
+    B1 and stage 2 to 100*B1, the B1 rising from 2000 to 11000 and then
+    to ``ecm_b1``, never above it; last, Brent rho over five polynomials
+    with the full ``rho_iterations`` budget. With ``ecm_curves`` of 0 (or
+    ``ecm_b1`` below 2) only that last rho pass runs. ``time_budget``
+    caps the seconds of one ``factor`` call; 0 means unlimited time.
     """
 
     trial_bound: int = 10_000
@@ -209,8 +218,9 @@ class FactorCache:
     """Persistent store of known nontrivial splits.
 
     Plain text, one entry per line, ``composite=factor,factor,...`` in
-    decimal. Loaded eagerly; a malformed line raises ValueError naming the
-    file and line. Appends are serialized through one lock so concurrent
+    decimal. Loaded eagerly; a malformed line, or one whose factors are not
+    all proper divisors of its composite, raises ValueError naming the file
+    and line. Appends are serialized through one lock so concurrent
     factoring jobs can share a cache file.
     """
 
@@ -227,22 +237,22 @@ class FactorCache:
                             continue
                         try:
                             left, right = line.split("=", 1)
-                            comp = int(left)
-                            facs = [int(t) for t in right.split(",") if t]
+                            self._merge(int(left), [int(t) for t in
+                                                    right.split(",") if t])
                         except ValueError:
                             raise ValueError(
                                 f"{path}:{lineno}: malformed factor cache "
                                 f"line {line!r}") from None
-                        self._merge(comp, facs)
             except FileNotFoundError:
                 pass
 
     def _merge(self, composite: int, factors: list[int]) -> bool:
-        good = [f for f in factors if 1 < f < composite and composite % f == 0]
-        if not good:
-            return False
+        if not factors or not all(1 < f < composite and composite % f == 0
+                                  for f in factors):
+            raise ValueError(f"{factors} are not proper divisors of "
+                             f"{composite}")
         known = self._known.setdefault(composite, [])
-        new = [f for f in good if f not in known]
+        new = [f for f in factors if f not in known]
         known.extend(new)
         return bool(new)
 
@@ -268,13 +278,19 @@ def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit by a byte sieve."""
     if limit < 2:
         return []
-    size = limit + 1
-    flags = bytearray([1]) * size
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = bytearray(len(range(p * p, size, p)))
-    return [i for i in range(size) if flags[i]]
+    return list(itertools.compress(range(limit + 1),
+                                   _prime_flags(0, limit + 1)))
+
+
+def _prime_flags(lo: int, hi: int) -> bytearray:
+    """flags[i] == 1 exactly when lo + i is prime, for lo <= lo + i < hi."""
+    flags = bytearray([1]) * (hi - lo)
+    for i in range(lo, min(2, hi)):  # 0 and 1
+        flags[i - lo] = 0
+    for p in sieve_primes(math.isqrt(hi - 1)):
+        first = max(p * p, -(-lo // p) * p)
+        flags[first - lo::p] = bytes(len(range(first, hi, p)))
+    return flags
 
 
 _GCD_BLOCK = 512
@@ -318,18 +334,17 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> Optional[tuple[int, int]]:
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if 1 << k > n.bit_length() * 2:
-            break
+    for k in sieve_primes(n.bit_length() - 1):  # every prime k, 2**k <= n
         r = _iroot(n, k)
         if r > 1 and r ** k == n:
             return r, k
     return None
 
 
-def _rho_brent(n: int, max_iters: int, deadline: Optional[float]) -> Optional[int]:
+def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
+               polynomials: Sequence[int] = (1, 3, 5, 7, 11)) -> Optional[int]:
     # Brent-style cycle finding with batched gcds; n odd composite.
-    for c in (1, 3, 5, 7, 11):
+    for c in polynomials:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         count = 0
@@ -360,8 +375,43 @@ def _rho_brent(n: int, max_iters: int, deadline: Optional[float]) -> Optional[in
     return None
 
 
-def _ecm_stage1(n: int, b1: int, sigma: int, primes: list[int]) -> Optional[int]:
-    # Montgomery-curve stage 1 with Suyama parametrization.
+# Stage 2 of a curve with stage-1 bound B1 covers the primes up to
+# _ECM_B2_RATIO * B1, as q = m*D +- j with 0 < j < D/2 coprime to D.
+_ECM_B2_RATIO = 100
+_ECM_D = 2310
+_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2)
+                  if math.gcd(j, _ECM_D) == 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _ecm_primes(b1: int) -> list[int]:
+    return sieve_primes(b1)
+
+
+@functools.lru_cache(maxsize=3)
+def _ecm_stage2_plan(b1: int, b2: int) -> tuple[int, bytes]:
+    """(m0, flags): flags[(m - m0)*len(_ECM_BABY) + i] is 1 when m*D - j or
+    m*D + j, j = _ECM_BABY[i], is a prime in (b1, b2]. One byte per pair,
+    about 0.5 MB at b2 = 5e6; the primes below D/2 are left to the baby
+    steps themselves."""
+    half, width = _ECM_D // 2, len(_ECM_BABY)
+    slot = {j: i for i, j in enumerate(_ECM_BABY)}
+    m0 = max(1, (b1 + half) // _ECM_D)
+    flags = bytearray(((b2 + half) // _ECM_D - m0 + 1) * width)
+    seg = 1 << 15
+    for lo in range(max(b1 + 1, half), b2 + 1, seg):
+        hi = min(lo + seg, b2 + 1)
+        for q in itertools.compress(range(lo, hi), _prime_flags(lo, hi)):
+            m = (q + half) // _ECM_D
+            flags[(m - m0) * width + slot[abs(q - m * _ECM_D)]] = 1
+    return m0, bytes(flags)
+
+
+def _ecm_curve(n: int, b1: int, sigma: int,
+               deadline: Optional[float]) -> Optional[int]:
+    """One elliptic curve on n: stage 1 to b1, then Montgomery's standard
+    continuation to _ECM_B2_RATIO * b1. A proper factor of n, or None."""
+    # Montgomery curve, Suyama parametrization, x-only arithmetic.
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
     x = pow(u, 3, n)
@@ -385,6 +435,7 @@ def _ecm_stage1(n: int, b1: int, sigma: int, primes: list[int]) -> Optional[int]
         return zd * (a + b) * (a + b) % n, xd * (a - b) * (a - b) % n
 
     def ladder(k, x0, z0):
+        # k*P and (k+1)*P
         x1, z1 = x0, z0
         x2, z2 = x_double(x0, z0)
         for bit in bin(k)[3:]:
@@ -394,24 +445,71 @@ def _ecm_stage1(n: int, b1: int, sigma: int, primes: list[int]) -> Optional[int]
             else:
                 x2, z2 = x_add(x1, z1, x2, z2, x0, z0)
                 x1, z1 = x_double(x1, z1)
-        return x1, z1
+        return x1, z1, x2, z2
 
-    for p in primes:
+    for p in _ecm_primes(b1):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         pe = p
         while pe * p <= b1:
             pe *= p
-        x, z = ladder(pe, x, z)
-        if z == 0:
-            return None
+        x, z, _, _ = ladder(pe, x, z)
     g = math.gcd(z, n)
-    if 1 < g < n:
-        return g
-    return None
+    if g > 1:
+        return g if g < n else None
+
+    # Baby steps: x(j*Q) for the odd j < D/2 coprime to D, scaled to z = 1
+    # by one inversion. Their z's vanish mod p when Q's order divides j.
+    m0, flags = _ecm_stage2_plan(b1, _ECM_B2_RATIO * b1)
+    x2, z2 = x_double(x, z)
+    odd = [(x, z), x_add(x2, z2, x, z, x, z)]  # Q, 3Q, 5Q, ...
+    while len(odd) <= _ECM_BABY[-1] // 2:
+        odd.append(x_add(*odd[-1], x2, z2, *odd[-2]))
+    baby = [odd[j // 2] for j in _ECM_BABY]
+    prefix, acc = [], 1
+    for _, zj in baby:
+        prefix.append(acc)
+        acc = acc * zj % n
+    g = math.gcd(acc, n)
+    if g > 1:
+        return g if g < n else None
+    inv = pow(acc, -1, n)
+    xs = [0] * len(baby)
+    for i in range(len(baby) - 1, -1, -1):
+        xj, zj = baby[i]
+        xs[i] = xj * inv * prefix[i] % n
+        inv = inv * zj % n
+
+    # Giant steps m*R, R = D*Q: q*Q = O mod p for q = m*D +- j exactly
+    # when x(m*R) = x(j*Q) mod p, so multiply the differences together.
+    rx, rz, _, _ = ladder(_ECM_D, x, z)
+    xm, zm, xn, zn = ladder(m0, rx, rz)
+    width, acc = len(xs), 1
+    for row in range(0, len(flags), width):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        for xj in itertools.compress(xs, flags[row:row + width]):
+            acc = acc * (xm - xj * zm) % n
+        xm, zm, (xn, zn) = xn, zn, x_add(xn, zn, rx, rz, xm, zm)
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
 
 
-@functools.lru_cache(maxsize=4)
-def _ecm_primes(b1: int) -> list[int]:
-    return sieve_primes(b1)
+# The factoring ladder's fixed effort: the short rho pass before the
+# curves, and the curve count at each rising B1 (the usual choice for
+# factors of 15 and of 20 digits); later curves use the policy's ecm_b1.
+_RHO_SHORT = 1 << 12
+_ECM_RAMP = ((25, 2_000), (90, 11_000))
+
+
+def _ecm_bounds(policy: EffortPolicy) -> Iterator[int]:
+    """The B1 of each of the policy's curves, rising to ecm_b1."""
+    ramp = itertools.chain.from_iterable(
+        itertools.repeat(min(b1, policy.ecm_b1), count)
+        for count, b1 in _ECM_RAMP)
+    return itertools.islice(
+        itertools.chain(ramp, itertools.repeat(policy.ecm_b1)),
+        policy.ecm_curves)
 
 
 def _split_composite(m: int, policy: EffortPolicy, cache: Optional[FactorCache],
@@ -433,18 +531,22 @@ def _split_composite(m: int, policy: EffortPolicy, cache: Optional[FactorCache],
     if power is not None:
         base, exp = power
         return [base] * exp
+    if policy.ecm_curves and policy.ecm_b1 >= 2:
+        if policy.rho_iterations:
+            d = _rho_brent(m, min(policy.rho_iterations, _RHO_SHORT),
+                           deadline, (1,))
+            if d is not None:
+                return [d, m // d]
+        for sigma, b1 in zip(itertools.count(6), _ecm_bounds(policy)):
+            if deadline is not None and time.monotonic() > deadline:
+                break
+            d = _ecm_curve(m, b1, sigma, deadline)
+            if d is not None:
+                return [d, m // d]
     if policy.rho_iterations:
         d = _rho_brent(m, policy.rho_iterations, deadline)
         if d is not None:
             return [d, m // d]
-    if policy.ecm_curves and policy.ecm_b1 >= 2:
-        primes = _ecm_primes(policy.ecm_b1)
-        for sigma in range(6, 6 + policy.ecm_curves):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            d = _ecm_stage1(m, policy.ecm_b1, sigma, primes)
-            if d is not None:
-                return [d, m // d]
     return None
 
 

@@ -223,8 +223,11 @@ def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
     # every pair orders the primes of m: check them once, not per record
     PrimeTuple(pairs[0][0])
     out = []
+    base: dict[tuple[int, ...], int] = {}  # equivalent orderings share one
     for P, Q in pairs:
-        a = residue_base(P)
+        if P not in base:
+            base[P] = base[Q] = residue_base(P)
+        a = base[P]
         kind = "general"
         if len(P) == 3:
             kind = "triple"

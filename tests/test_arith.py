@@ -2,6 +2,7 @@
 
 import math
 import re
+import types
 
 import pytest
 import sympy
@@ -174,6 +175,156 @@ def test_factor_independent_of_cache_entry_order(tmp_path):
         results.append(fz)
     assert results[0] == results[1]
     assert results[0].complete and results[0].verify()
+
+
+@pytest.mark.parametrize("n,factors", [
+    (211 ** 11, ((211, 11),)),
+    (2 * 10007 ** 11, ((2, 1), (10007, 11))),
+])
+def test_factor_perfect_power_with_large_exponent(n, factors):
+    # exponents of 11 and beyond are tried at any size, at zero cost
+    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_curves=0)
+    fz = arith.factor(n, pol)
+    assert fz.complete and fz.factors == factors
+
+
+@pytest.mark.parametrize("line", ["91=5", "91=91", "91=1,7", "91="])
+def test_factor_cache_rejects_non_divisor(tmp_path, line):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"15=3,5\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2")):
+        arith.FactorCache(str(path))
+
+
+# elliptic curves -------------------------------------------------------
+
+def _ec_add(P, Q, A, B, p):
+    """Affine sum on B*y^2 = x^3 + A*x^2 + x mod p; None is the identity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * A * x1 + 1) * pow(2 * B * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (B * lam * lam - A - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k, P, A, B, p):
+    R = None
+    while k:
+        if k & 1:
+            R = _ec_add(R, P, A, B, p)
+        P = _ec_add(P, P, A, B, p)
+        k >>= 1
+    return R
+
+
+def _stage1_point_order(sigma, p, b1):
+    """Order mod p of the stage-1 point of Suyama's curve for sigma.
+
+    Independent of arith: affine arithmetic, the point found by stepping
+    through the Hasse interval, then cut down prime by prime.
+    """
+    u, v = (sigma * sigma - 5) % p, 4 * sigma % p
+    x = pow(u, 3, p) * pow(v, -3, p) % p
+    A = (pow(v - u, 3, p) * (3 * u + v) * pow(4 * pow(u, 3, p) * v, -1, p)
+         - 2) % p
+    B = (x ** 3 + A * x * x + x) % p  # puts (x, 1) on the curve
+    Q = (x, 1)
+    for q in sympy.primerange(2, b1 + 1):
+        Q = _ec_mul(q ** int(math.log(b1, q)), Q, A, B, p)
+    N = p + 1 - 2 * math.isqrt(p) - 2
+    R = _ec_mul(N, Q, A, B, p)
+    while R is not None:
+        R = _ec_add(R, Q, A, B, p)
+        N += 1
+    for r in sympy.factorint(N):
+        while N % r == 0 and _ec_mul(N // r, Q, A, B, p) is None:
+            N //= r
+    return N
+
+
+# (p, sigma): the stage-1 point's order mod p at B1 = 2000 is a prime
+# in (B1, 100*B1], so only stage 2 can find p
+STAGE2_ONLY = [(9000011, 6), (9000011, 9), (9000041, 8), (9000049, 8)]
+
+
+@pytest.mark.parametrize("p,sigma", STAGE2_ONLY)
+def test_ecm_stage2_finds_what_stage1_cannot(p, sigma):
+    b1 = 2000
+    order = _stage1_point_order(sigma, p, b1)
+    assert b1 < max(sympy.factorint(order)) <= 100 * b1
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+
+
+# the four slowest cofactors of the level census to level 10 under rho
+CENSUS_COFACTORS = [
+    (836312735653, 1368845206580129),
+    (539402497343, 1595326837717),
+    (40530851701, 97272377313541),
+    (127770091783, 4680225641471129),
+]
+
+
+@pytest.mark.parametrize("p,q", CENSUS_COFACTORS)
+def test_factor_ecm_only_splits_census_cofactors(p, q):
+    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_b1=2000)
+    fz = arith.factor(p * q, pol)
+    assert fz.complete and fz.primes == (p, q)
+
+
+def test_ecm_time_budget_honoured_in_stage2(monkeypatch):
+    p, sigma = STAGE2_ONLY[0]  # sigma 6 is the first curve's
+    n = p * (2 ** 61 - 1)
+    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_curves=1,
+                             ecm_b1=2000, time_budget=10.0)
+    assert arith.factor(n, pol).complete  # split by the first stage 2
+    clock = [0.0]
+    plan = arith._ecm_stage2_plan
+
+    def plan_then_jump(*args):
+        clock[0] = 1e9  # past any deadline, once stage 2 starts
+        return plan(*args)
+
+    monkeypatch.setattr(arith, "time",
+                        types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(arith, "_ecm_stage2_plan", plan_then_jump)
+    assert not arith.factor(n, pol).complete
+    clock[0] = 0.0
+    assert arith._ecm_curve(n, 2000, sigma, 10.0) is None
+
+
+def test_factor_without_curves_matches_rho_only_ladder(tmp_path):
+    # results and cache lines as the rho-then-curves ladder wrote them
+    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=200_000,
+                             ecm_curves=0)
+    path = tmp_path / "cache.txt"
+    cache = arith.FactorCache(str(path))
+    got = [arith.factor(n, pol, cache) for n in (
+        10000000019 * 10000000033,
+        1000003 * 999999999989 * 1000000007,
+        2 ** 101 - 1,
+        998244353 * 1000000007 ** 2,
+    )]
+    assert [fz.factors for fz in got] == [
+        ((10000000019, 1), (10000000033, 1)),
+        ((1000003, 1), (1000000007, 1), (999999999989, 1)),
+        (),
+        ((998244353, 1), (1000000007, 2)),
+    ]
+    assert got[2].cofactor == 2 ** 101 - 1
+    assert path.read_text().splitlines() == [
+        "100000000520000000627=10000000019,10000000033",
+        "1000003006989020966922999769=1000003,1000000006988999999923",
+        "1000000006988999999923=1000000007,999999999989",
+        "998244366975420990913973297=998244353,1000000014000000049",
+    ]
 
 
 # modular helpers -------------------------------------------------------

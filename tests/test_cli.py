@@ -238,6 +238,14 @@ def test_malformed_cache_exit_two(tmp_path):
     assert code == 2
 
 
+def test_cache_line_with_non_divisor_exit_two(tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("91=5\n")
+    code = cli.run(["sequence", "--steps", "1", "--cache", str(cache)])
+    assert code == 2
+    assert f"{cache}:1" in capsys.readouterr().err
+
+
 def test_policy_env_override(tmp_path, monkeypatch):
     pol = tmp_path / "policy.json"
     pol.write_text(json.dumps({"trial_bound": 100, "rho_iterations": 5,
