@@ -9,7 +9,7 @@ the core count, the Python version, and the node and blocked counts of
 each level.
 
 Example:
-    PYTHONPATH=src python scripts/bench_census.py --repeats 5
+    PYTHONPATH=src python scripts/bench_census.py --note "after the change"
 """
 
 import argparse
@@ -27,6 +27,8 @@ from emgraph.graph import bfs_levels
 
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
+MAX_LEVEL = 10
+REPEATS = 5
 
 
 def revision() -> str:
@@ -43,23 +45,21 @@ def revision() -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--max-level", type=int, default=10)
     ap.add_argument("--out", default=str(ROOT / "BENCH_census.json"))
     ap.add_argument("--note", default="", help="free text kept in the record")
     args = ap.parse_args()
 
     walls = []
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
-        sums = bfs_levels(1, args.max_level, STRETCH)
+        sums = bfs_levels(1, MAX_LEVEL, STRETCH)
         walls.append(round(time.perf_counter() - t0, 4))
     record = {
         "revision": revision(),
         "note": args.note,
         "policy": STRETCH.__dict__,
-        "max_level": args.max_level,
-        "repeats": args.repeats,
+        "max_level": MAX_LEVEL,
+        "repeats": REPEATS,
         "median_wall_s": statistics.median(walls),
         "wall_s": walls,
         "cores": os.cpu_count(),

@@ -143,11 +143,13 @@ class EffortPolicy:
     factor cache and the perfect-power test, which always run; a short
     Brent rho pass, one polynomial and at most min(``rho_iterations``,
     4096) steps; ``ecm_curves`` elliptic curves, each with stage 1 to its
-    B1 and stage 2 to 100*B1, the B1 rising from 2000 to 11000 and then
-    to ``ecm_b1``, never above it; last, Brent rho over five polynomials
-    with the full ``rho_iterations`` budget. With ``ecm_curves`` of 0 (or
-    ``ecm_b1`` below 2) only that last rho pass runs. ``time_budget``
-    caps the seconds of one ``factor`` call; 0 means unlimited time.
+    B1 and stage 2 to 100*B1; last, Brent rho over five polynomials with
+    the full ``rho_iterations`` budget. The first half of the curves
+    climb a ramp of 25 curves at B1 = 2000 and 90 at 11000, each B1
+    capped at ``ecm_b1``; the rest run at ``ecm_b1`` (the default 50
+    curves: 25 at 2000, 25 at 50000). With ``ecm_curves`` of 0 (or
+    ``ecm_b1`` below 2) only the last rho pass runs. ``time_budget`` caps
+    the seconds of one ``factor`` call; 0 means unlimited time.
     """
 
     trial_bound: int = 10_000
@@ -388,23 +390,42 @@ def _ecm_primes(b1: int) -> list[int]:
     return sieve_primes(b1)
 
 
-@functools.lru_cache(maxsize=3)
-def _ecm_stage2_plan(b1: int, b2: int) -> tuple[int, bytes]:
-    """(m0, flags): flags[(m - m0)*len(_ECM_BABY) + i] is 1 when m*D - j or
-    m*D + j, j = _ECM_BABY[i], is a prime in (b1, b2]. One byte per pair,
-    about 0.5 MB at b2 = 5e6; the primes below D/2 are left to the baby
-    steps themselves."""
+_ECM_ROWS = 64  # giant steps per sieved segment of stage 2
+
+
+def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, bytes]]:
+    """(m, flags) for m = m0, m0 + 1, ...: flags[i] is 1 when m*D - j or
+    m*D + j, j = _ECM_BABY[i], is a prime in (b1, b2]. Sieved _ECM_ROWS
+    rows at a time, so memory does not grow with b2; the primes below D/2
+    are left to the baby steps themselves."""
     half, width = _ECM_D // 2, len(_ECM_BABY)
-    slot = {j: i for i, j in enumerate(_ECM_BABY)}
-    m0 = max(1, (b1 + half) // _ECM_D)
-    flags = bytearray(((b2 + half) // _ECM_D - m0 + 1) * width)
-    seg = 1 << 15
-    for lo in range(max(b1 + 1, half), b2 + 1, seg):
-        hi = min(lo + seg, b2 + 1)
-        for q in itertools.compress(range(lo, hi), _prime_flags(lo, hi)):
-            m = (q + half) // _ECM_D
-            flags[(m - m0) * width + slot[abs(q - m * _ECM_D)]] = 1
-    return m0, bytes(flags)
+    m0, m_end = max(1, (b1 + half) // _ECM_D), (b2 + half) // _ECM_D + 1
+    for ma in range(m0, m_end, _ECM_ROWS):
+        rows = min(_ECM_ROWS, m_end - ma)
+        base = ma * _ECM_D - half  # q = m*D +- j sits at q - base
+        pf = _prime_flags(base, base + (rows + 1) * _ECM_D)
+        if b1 >= base:
+            pf[:b1 + 1 - base] = bytes(b1 + 1 - base)
+        if b2 + 1 - base < len(pf):
+            pf[b2 + 1 - base:] = bytes(len(pf) - (b2 + 1 - base))
+        seg = bytearray(rows * width)
+        for i, j in enumerate(_ECM_BABY):
+            lo = int.from_bytes(pf[half - j::_ECM_D][:rows], "little")
+            hi = int.from_bytes(pf[half + j::_ECM_D][:rows], "little")
+            seg[i::width] = (lo | hi).to_bytes(rows, "little")
+        table = bytes(seg)
+        for r in range(rows):
+            yield ma + r, table[r * width:(r + 1) * width]
+
+
+# Stage-2 rows up to the ramp's largest B2 (at most about 180 KB) are kept
+# for the next curve; larger ones are sieved by each curve and freed.
+_ECM_KEEP_B2 = 1_100_000
+
+
+@functools.lru_cache(maxsize=2)
+def _ecm_stage2_kept(b1: int, b2: int) -> tuple[tuple[int, bytes], ...]:
+    return tuple(_ecm_stage2_rows(b1, b2))
 
 
 def _ecm_curve(n: int, b1: int, sigma: int,
@@ -460,7 +481,6 @@ def _ecm_curve(n: int, b1: int, sigma: int,
 
     # Baby steps: x(j*Q) for the odd j < D/2 coprime to D, scaled to z = 1
     # by one inversion. Their z's vanish mod p when Q's order divides j.
-    m0, flags = _ecm_stage2_plan(b1, _ECM_B2_RATIO * b1)
     x2, z2 = x_double(x, z)
     odd = [(x, z), x_add(x2, z2, x, z, x, z)]  # Q, 3Q, 5Q, ...
     while len(odd) <= _ECM_BABY[-1] // 2:
@@ -483,12 +503,16 @@ def _ecm_curve(n: int, b1: int, sigma: int,
     # Giant steps m*R, R = D*Q: q*Q = O mod p for q = m*D +- j exactly
     # when x(m*R) = x(j*Q) mod p, so multiply the differences together.
     rx, rz, _, _ = ladder(_ECM_D, x, z)
-    xm, zm, xn, zn = ladder(m0, rx, rz)
-    width, acc = len(xs), 1
-    for row in range(0, len(flags), width):
+    b2 = _ECM_B2_RATIO * b1
+    rows = (_ecm_stage2_kept(b1, b2) if b2 <= _ECM_KEEP_B2
+            else _ecm_stage2_rows(b1, b2))
+    acc, xm = 1, None
+    for m, flags in rows:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        for xj in itertools.compress(xs, flags[row:row + width]):
+        if xm is None:
+            xm, zm, xn, zn = ladder(m, rx, rz)
+        for xj in itertools.compress(xs, flags):
             acc = acc * (xm - xj * zm) % n
         xm, zm, (xn, zn) = xn, zn, x_add(xn, zn, rx, rz, xm, zm)
     g = math.gcd(acc, n)
@@ -497,19 +521,24 @@ def _ecm_curve(n: int, b1: int, sigma: int,
 
 # The factoring ladder's fixed effort: the short rho pass before the
 # curves, and the curve count at each rising B1 (the usual choice for
-# factors of 15 and of 20 digits); later curves use the policy's ecm_b1.
+# factors of 15 and of 20 digits). At most half of a policy's curves climb
+# this ramp; the others use the policy's ecm_b1.
 _RHO_SHORT = 1 << 12
 _ECM_RAMP = ((25, 2_000), (90, 11_000))
+
+# Raised whenever the same policy fields come to run a different ladder.
+# Census checkpoints record it with the policy, so one saved under another
+# ladder, whose blocked counts this one need not reproduce, is not resumed.
+LADDER_VERSION = 2
 
 
 def _ecm_bounds(policy: EffortPolicy) -> Iterator[int]:
     """The B1 of each of the policy's curves, rising to ecm_b1."""
-    ramp = itertools.chain.from_iterable(
+    ramp = list(itertools.islice(itertools.chain.from_iterable(
         itertools.repeat(min(b1, policy.ecm_b1), count)
-        for count, b1 in _ECM_RAMP)
-    return itertools.islice(
-        itertools.chain(ramp, itertools.repeat(policy.ecm_b1)),
-        policy.ecm_curves)
+        for count, b1 in _ECM_RAMP), policy.ecm_curves // 2))
+    return itertools.chain(
+        ramp, itertools.repeat(policy.ecm_b1, policy.ecm_curves - len(ramp)))
 
 
 def _split_composite(m: int, policy: EffortPolicy, cache: Optional[FactorCache],

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .arith import (DEFAULT_POLICY, EffortPolicy, FactorCache, factor,
-                    is_prime, small_prime_factors)
+from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
+                    FactorCache, factor, is_prime, small_prime_factors)
 from .tuples import ResidueClass
 
 
@@ -93,7 +93,7 @@ def expand_node(v: Node, policy: EffortPolicy = DEFAULT_POLICY,
 
 def _policy_fingerprint(policy: EffortPolicy) -> str:
     return (f"{policy.trial_bound}:{policy.rho_iterations}:"
-            f"{policy.ecm_curves}:{policy.ecm_b1}")
+            f"{policy.ecm_curves}:{policy.ecm_b1}:ladder{LADDER_VERSION}")
 
 
 def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
@@ -141,7 +141,8 @@ def bfs_levels(root: int, max_level: int,
     ``composite_count`` for level L counts the unfactored cofactors hit
     while expanding level L-1, i.e. the children still hidden at L. The
     frontier and the summaries so far are checkpointed after each level
-    for resumption under the same policy; a checkpoint of another root
+    for resumption under the same policy and factoring ladder (a checkpoint
+    of another policy or ladder is ignored); a checkpoint of another root
     raises ValueError.
     """
     if root < 1:

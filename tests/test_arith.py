@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import types
 
 import pytest
@@ -286,18 +287,45 @@ def test_ecm_time_budget_honoured_in_stage2(monkeypatch):
                              ecm_b1=2000, time_budget=10.0)
     assert arith.factor(n, pol).complete  # split by the first stage 2
     clock = [0.0]
-    plan = arith._ecm_stage2_plan
+    rows = arith._ecm_stage2_kept  # B2 = 200000 is one of the ramp's
 
-    def plan_then_jump(*args):
+    def jump_then_rows(*args):
         clock[0] = 1e9  # past any deadline, once stage 2 starts
-        return plan(*args)
+        return rows(*args)
 
     monkeypatch.setattr(arith, "time",
                         types.SimpleNamespace(monotonic=lambda: clock[0]))
-    monkeypatch.setattr(arith, "_ecm_stage2_plan", plan_then_jump)
+    monkeypatch.setattr(arith, "_ecm_stage2_kept", jump_then_rows)
     assert not arith.factor(n, pol).complete
     clock[0] = 0.0
     assert arith._ecm_curve(n, 2000, sigma, 10.0) is None
+
+
+def test_ecm_large_bounds_stop_at_time_budget(monkeypatch):
+    n = (2 ** 61 - 1) * (2 ** 89 - 1)
+    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_curves=2,
+                             ecm_b1=1_000_000, time_budget=0.3)
+    t0 = time.monotonic()
+    assert not arith.factor(n, pol).complete
+    assert time.monotonic() - t0 < 1.3
+    # a stage 2 to 2e9 after a quick stage 1: its primes are sieved a few
+    # rows at a time, between the deadline checks
+    monkeypatch.setattr(arith, "_ECM_B2_RATIO", 1_000_000)
+    t0 = time.monotonic()
+    assert arith._ecm_curve(n, 2000, 6, t0 + 0.3) is None
+    assert time.monotonic() - t0 < 1.3
+
+
+def test_ecm_bounds_keep_half_the_curves_at_ecm_b1():
+    def bounds(**kw):
+        return list(arith._ecm_bounds(arith.EffortPolicy(**kw)))
+    assert bounds() == [2000] * 25 + [50000] * 25
+    assert bounds(ecm_curves=120) == [2000] * 25 + [11000] * 35 + [50000] * 60
+    assert bounds(ecm_curves=300) == ([2000] * 25 + [11000] * 90
+                                      + [50000] * 185)
+    assert bounds(ecm_curves=4, ecm_b1=5000) == [2000, 2000, 5000, 5000]
+    assert bounds(ecm_curves=3, ecm_b1=1000) == [1000] * 3
+    assert bounds(ecm_curves=1) == [50000]
 
 
 def test_factor_without_curves_matches_rho_only_ladder(tmp_path):

@@ -70,6 +70,20 @@ def test_bfs_levels_checkpoint_resume(tmp_path):
     assert [s.node_count for s in resumed] == [1, 1, 1, 1, 1, 2, 4, 9]
 
 
+def test_bfs_levels_ignores_checkpoint_of_another_ladder(tmp_path):
+    ck = tmp_path / "frontier.jsonl"
+    gr.bfs_levels(1, 5, checkpoint=str(ck))
+    header, rest = ck.read_text().split("\n", 1)
+    obj = json.loads(header)
+    # as saved before the ladder was versioned: the policy fields alone
+    pol = gr.DEFAULT_POLICY
+    obj["policy"] = (f"{pol.trial_bound}:{pol.rho_iterations}:"
+                     f"{pol.ecm_curves}:{pol.ecm_b1}")
+    obj["summaries"][-1][2] = 99  # a blocked count this ladder never saw
+    ck.write_text(json.dumps(obj) + "\n" + rest)
+    assert gr.bfs_levels(1, 7, checkpoint=str(ck)) == gr.bfs_levels(1, 7)
+
+
 def test_load_frontier_rejects_header_without_root(tmp_path):
     ck = tmp_path / "frontier.jsonl"
     gr.bfs_levels(1, 3, checkpoint=str(ck))
