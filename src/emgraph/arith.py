@@ -16,7 +16,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -149,7 +149,9 @@ class EffortPolicy:
     capped at ``ecm_b1``; the rest run at ``ecm_b1`` (the default 50
     curves: 25 at 2000, 25 at 50000). With ``ecm_curves`` of 0 (or
     ``ecm_b1`` below 2) only the last rho pass runs. ``time_budget`` caps
-    the seconds of one ``factor`` call; 0 means unlimited time.
+    the seconds of one ``factor`` call; 0 means unlimited time. A field
+    of the wrong type (a bool, or a non-integer where an integer is due)
+    or a negative field raises ValueError.
     """
 
     trial_bound: int = 10_000
@@ -159,9 +161,15 @@ class EffortPolicy:
     time_budget: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.trial_bound, self.rho_iterations, self.ecm_curves,
-               self.ecm_b1, self.time_budget) < 0:
-            raise ValueError("policy fields must be nonnegative")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (kind, int)):
+                raise ValueError(f"policy field {f.name} must be "
+                                 f"{kind.__name__}, not {value!r}")
+            if not value >= 0:
+                raise ValueError(f"policy field {f.name} must be "
+                                 "nonnegative")
+            object.__setattr__(self, f.name, kind(value))
 
 
 DEFAULT_POLICY = EffortPolicy()
@@ -385,11 +393,6 @@ _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2)
                   if math.gcd(j, _ECM_D) == 1)
 
 
-@functools.lru_cache(maxsize=4)
-def _ecm_primes(b1: int) -> list[int]:
-    return sieve_primes(b1)
-
-
 _ECM_ROWS = 64  # giant steps per sieved segment of stage 2
 
 
@@ -468,7 +471,7 @@ def _ecm_curve(n: int, b1: int, sigma: int,
                 x1, z1 = x_double(x1, z1)
         return x1, z1, x2, z2
 
-    for p in _ecm_primes(b1):
+    for p in sieve_primes(b1):
         if deadline is not None and time.monotonic() > deadline:
             return None
         pe = p

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -31,46 +31,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    policy: EffortPolicy
-    cache: Optional[FactorCache]
-    out: TextIO
-    fmt: str
+def _policy_file(path: str) -> EffortPolicy:
+    """The policy of a JSON object of EffortPolicy fields; the rest of the
+    fields keep their defaults."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        return EffortPolicy(**obj)
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown field
+        raise ValueError(f"{POLICY_ENV} file {path}: {exc}") from None
 
 
-def _default_policy() -> EffortPolicy:
+def _factoring(args: argparse.Namespace
+               ) -> tuple[EffortPolicy, Optional[FactorCache]]:
+    """The policy (the defaults, then the EMGRAPH_POLICY file, then the
+    flags) and the factor cache of a command that factors."""
     path = os.environ.get(POLICY_ENV)
-    if not path:
-        return DEFAULT_POLICY
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return EffortPolicy(**{k: obj[k] for k in
-                           ("trial_bound", "rho_iterations", "ecm_curves",
-                            "ecm_b1", "time_budget") if k in obj})
-
-
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trial-bound", type=int, default=None)
-    p.add_argument("--rho-iterations", type=int, default=None)
-    p.add_argument("--ecm-curves", type=int, default=None)
-    p.add_argument("--ecm-b1", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
-
-
-def _policy_from(args: argparse.Namespace) -> EffortPolicy:
-    base = _default_policy()
-    fields = {
-        "trial_bound": args.trial_bound,
-        "rho_iterations": args.rho_iterations,
-        "ecm_curves": args.ecm_curves,
-        "ecm_b1": args.ecm_b1,
-        "time_budget": args.time_budget,
-    }
-    changes = {k: v for k, v in fields.items() if v is not None}
-    if not changes:
-        return base
-    return EffortPolicy(**{**base.__dict__, **changes})
+    base = _policy_file(path) if path else DEFAULT_POLICY
+    flags = {f.name: getattr(args, f.name) for f in fields(EffortPolicy)
+             if getattr(args, f.name) is not None}
+    return (replace(base, **flags),
+            FactorCache(args.cache) if args.cache else None)
 
 
 def _emit(out: TextIO, line: str) -> None:
@@ -115,17 +98,18 @@ def export_tables(records: Sequence[PairRecord]) -> list[str]:
     return lines
 
 
-def _stream_records(records: Iterable[PairRecord], cfg: RunConfig) -> int:
-    if cfg.fmt == "csv":
+def _stream_records(records: Iterable[PairRecord], out: TextIO,
+                    fmt: str) -> int:
+    if fmt == "csv":
         # csv needs modulus grouping, so collect first
         lines = export_tables(list(records))
         for line in lines:
-            _emit(cfg.out, line)
+            _emit(out, line)
         return 0
     for r in records:
-        _emit(cfg.out, r.to_json_line())
+        _emit(out, r.to_json_line())
         # the record reaches the file before a checkpoint counts it
-        cfg.out.flush()
+        out.flush()
     return 0
 
 
@@ -164,21 +148,22 @@ def _open_out(path: str, keep: int) -> TextIO:
     return open(path, "a", encoding="utf-8")
 
 
-def _cmd_search_pairs(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_search_pairs(args: argparse.Namespace, out: TextIO) -> int:
     return _stream_records(modsearch.search_range(
-        _search_config(args), checkpoint=args.checkpoint), cfg)
+        _search_config(args), checkpoint=args.checkpoint), out, args.format)
 
 
-def _cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
-    summaries = graph.bfs_levels(args.root, args.max_level, cfg.policy,
-                                 cfg.cache, checkpoint=args.checkpoint)
-    if cfg.fmt == "csv":
-        _emit(cfg.out, "level,nodes,composites")
+def _cmd_expand(args: argparse.Namespace, out: TextIO) -> int:
+    policy, cache = _factoring(args)
+    summaries = graph.bfs_levels(args.root, args.max_level, policy, cache,
+                                 checkpoint=args.checkpoint)
+    if args.format == "csv":
+        _emit(out, "level,nodes,composites")
         for s in summaries:
-            _emit(cfg.out, f"{s.level},{s.node_count},{s.composite_count}")
+            _emit(out, f"{s.level},{s.node_count},{s.composite_count}")
     else:
         for s in summaries:
-            _emit_json(cfg.out, {
+            _emit_json(out, {
                 "level": str(s.level), "nodes": str(s.node_count),
                 "composites": str(s.composite_count)})
     return 0
@@ -189,7 +174,7 @@ def _node_obj(nd: graph.Node) -> dict:
             "level": str(nd.level), "value": str(nd.value)}
 
 
-def _cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_explore(args: argparse.Namespace, out: TextIO) -> int:
     nodes = graph.bounded_explore([args.root], args.bound, args.max_level)
     if args.watch:
         w = graph.WatchList.load(args.watch)
@@ -197,42 +182,43 @@ def _cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
             obj = _node_obj(nd)
             obj["hit_a"] = str(rc.a)
             obj["hit_m"] = str(rc.m)
-            _emit_json(cfg.out, obj)
+            _emit_json(out, obj)
     else:
         for nd in nodes:
-            _emit_json(cfg.out, _node_obj(nd))
+            _emit_json(out, _node_obj(nd))
     return 0
 
 
-def _cmd_verify_theorem(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify_theorem(args: argparse.Namespace, out: TextIO) -> int:
     rep = graph.verify_double_paths()
     for line in rep.lines():
-        _emit(cfg.out, line)
-    _emit(cfg.out, "OK" if rep.ok else "FAILED")
+        _emit(out, line)
+    _emit(out, "OK" if rep.ok else "FAILED")
     return 0 if rep.ok else 2
 
 
-def _cmd_sequence(args: argparse.Namespace, cfg: RunConfig) -> int:
-    terms = graph.euclid_mullin(args.start, args.steps, cfg.policy,
-                                rule=args.rule, cache=cfg.cache)
+def _cmd_sequence(args: argparse.Namespace, out: TextIO) -> int:
+    policy, cache = _factoring(args)
+    terms = graph.euclid_mullin(args.start, args.steps, policy,
+                                rule=args.rule, cache=cache)
     for t in terms:
-        _emit(cfg.out, str(t))
+        _emit(out, str(t))
     if len(terms) < args.steps:
         print(f"stopped after {len(terms)} terms: factoring effort "
               "exhausted", file=sys.stderr)
     return 0
 
 
-def _cmd_chains(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_chains(args: argparse.Namespace, out: TextIO) -> int:
     nodes = graph.bounded_explore([args.root], args.bound, args.max_level)
     for nd in graph.unique_chain_scan(nodes, args.ell):
-        _emit_json(cfg.out, _node_obj(nd))
+        _emit_json(out, _node_obj(nd))
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     st = graph.simulate_growth_model(args.k, args.trials, args.seed)
-    _emit_json(cfg.out, {
+    _emit_json(out, {
         "k_max": str(st.k_max), "trials": str(st.trials),
         "seed": str(st.seed),
         "ratios": [repr(r) for r in st.ratios],
@@ -241,7 +227,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
     source = open(args.records, "r", encoding="utf-8") if args.records \
         else sys.stdin
     try:
@@ -251,22 +237,35 @@ def _cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
         if args.records:
             source.close()
     for line in export_tables(records):
-        _emit(cfg.out, line)
+        _emit(out, line)
     return 0
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="emgraph", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", default=None, help="factor cache file")
-    common.add_argument("--out", default=None, help="output file (stdout)")
-    common.add_argument("--format", choices=("jsonl", "csv"),
-                        default="jsonl")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("search-pairs", parents=[common],
-                       help="find equivalent tuple pairs by modulus range")
+    def command(name: str, func, help: str, *, formats: bool = False,
+                factors: bool = False) -> argparse.ArgumentParser:
+        """A subcommand with --out, plus --format when it writes CSV as
+        well as JSONL, and --cache and one flag per EffortPolicy field
+        when it factors."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--out", default=None, help="output file (stdout)")
+        if formats:
+            p.add_argument("--format", choices=("jsonl", "csv"),
+                           default="jsonl")
+        if factors:
+            p.add_argument("--cache", default=None, help="factor cache file")
+            for f in fields(EffortPolicy):
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               type=type(f.default), default=None)
+        return p
+
+    p = command("search-pairs", _cmd_search_pairs,
+                "find equivalent tuple pairs by modulus range", formats=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--min-k", type=int, default=3)
@@ -274,53 +273,44 @@ def build_parser() -> _Parser:
     p.add_argument("--irreducible-only", action="store_true")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default=None)
-    p.set_defaults(func=_cmd_search_pairs)
 
-    p = sub.add_parser("expand", parents=[common], help="level census from a root")
+    p = command("expand", _cmd_expand, "level census from a root",
+                formats=True, factors=True)
     p.add_argument("--root", type=int, default=1)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--checkpoint", default=None)
-    _add_policy_flags(p)
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("explore", parents=[common],
-                       help="deep walk following only small-prime edges")
+    p = command("explore", _cmd_explore,
+                "deep walk following only small-prime edges")
     p.add_argument("--root", type=int, default=1)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--watch", default=None,
                    help="JSONL residue classes to report hits against")
-    p.set_defaults(func=_cmd_explore)
 
-    p = sub.add_parser("verify-theorem", parents=[common],
-                       help="check the two known double-path nodes")
-    p.set_defaults(func=_cmd_verify_theorem)
+    command("verify-theorem", _cmd_verify_theorem,
+            "check the two known double-path nodes")
 
-    p = sub.add_parser("sequence", parents=[common], help="least/largest prime factor walk")
+    p = command("sequence", _cmd_sequence,
+                "least/largest prime factor walk", factors=True)
     p.add_argument("--rule", choices=("least", "largest"), default="least")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--start", type=int, default=1)
-    _add_policy_flags(p)
-    p.set_defaults(func=_cmd_sequence)
 
-    p = sub.add_parser("chains", parents=[common],
-                       help="nodes followed by unique-child runs")
+    p = command("chains", _cmd_chains, "nodes followed by unique-child runs")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--root", type=int, default=1)
     p.add_argument("--bound", type=int, default=1 << 16)
     p.add_argument("--max-level", type=int, default=10)
-    p.set_defaults(func=_cmd_chains)
 
-    p = sub.add_parser("simulate", parents=[common], help="growth model statistics")
+    p = command("simulate", _cmd_simulate, "growth model statistics")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("tables", parents=[common], help="render records as grouped CSV")
+    p = command("tables", _cmd_tables, "render records as grouped CSV")
     p.add_argument("--records", default=None,
                    help="JSONL input file (default stdin)")
-    p.set_defaults(func=_cmd_tables)
     return parser
 
 
@@ -331,22 +321,12 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = sys.stdout
     opened = None
     try:
         keep = _records_kept(args)
         if args.out:
-            opened = out = _open_out(args.out, keep)
-        cfg = RunConfig(
-            policy=_policy_from(args) if hasattr(args, "trial_bound")
-            else _default_policy(),
-            cache=FactorCache(args.cache) if args.cache else None,
-            out=out,
-            fmt=args.format)
-        return args.func(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            opened = _open_out(args.out, keep)
+        return args.func(args, opened or sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

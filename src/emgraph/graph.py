@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
@@ -92,8 +92,8 @@ def expand_node(v: Node, policy: EffortPolicy = DEFAULT_POLICY,
 
 
 def _policy_fingerprint(policy: EffortPolicy) -> str:
-    return (f"{policy.trial_bound}:{policy.rho_iterations}:"
-            f"{policy.ecm_curves}:{policy.ecm_b1}:ladder{LADDER_VERSION}")
+    return ":".join([*(str(v) for v in astuple(policy)),
+                     f"ladder{LADDER_VERSION}"])
 
 
 def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,

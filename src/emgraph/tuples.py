@@ -57,13 +57,6 @@ class PrimeTuple:
     def modulus(self) -> int:
         return prod(self.primes)
 
-    def prefix_products(self) -> list[int]:
-        """Products p_1...p_i for i = 0..k (starts at the empty product 1)."""
-        out = [1]
-        for p in self.primes:
-            out.append(out[-1] * p)
-        return out
-
     def __iter__(self):
         return iter(self.primes)
 
@@ -125,10 +118,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    @staticmethod
-    def reversal(k: int) -> "Permutation":
-        return Permutation(tuple(range(k - 1, -1, -1)))
 
     @staticmethod
     def transposition(k: int, i: int, j: int) -> "Permutation":

@@ -87,6 +87,21 @@ def test_factor_examples(n, factors):
     assert fz.verify()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ecm_curves", "50"), ("trial_bound", 1.5), ("ecm_b1", True),
+    ("rho_iterations", None), ("time_budget", "1"), ("time_budget", False),
+    ("ecm_curves", -1), ("time_budget", float("nan")),
+])
+def test_effort_policy_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        arith.EffortPolicy(**{field: value})
+
+
+def test_effort_policy_takes_an_integer_time_budget():
+    pol = arith.EffortPolicy(time_budget=2)
+    assert pol.time_budget == 2.0 and isinstance(pol.time_budget, float)
+
+
 def test_factor_against_trial_division():
     policy = arith.EffortPolicy(trial_bound=500, rho_iterations=50_000,
                                 ecm_curves=0)

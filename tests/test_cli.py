@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import argparse
+import dataclasses
 import io
 import json
 import contextlib
@@ -8,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from emgraph import cli
+import pytest
+
+from emgraph import cli, graph
+from emgraph.arith import DEFAULT_POLICY, EffortPolicy
 from emgraph.tuples import PairRecord
 
 
@@ -279,3 +284,69 @@ def test_cache_flag(tmp_path):
                              "--rho-iterations", "0", "--ecm-curves", "0"])
     assert code == 0
     assert out.split() == ["7432339208719"]
+
+# each command takes only the options it reads ---------------------------
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# a valid call of each command that ignores --cache or --format
+_BASE_ARGV = {
+    "search-pairs": ["search-pairs", "--lo", "2", "--hi", "100"],
+    "explore": ["explore", "--bound", "5", "--max-level", "2"],
+    "verify-theorem": ["verify-theorem"],
+    "chains": ["chains", "--ell", "2", "--max-level", "2"],
+    "simulate": ["simulate", "--k", "10", "--trials", "1", "--seed", "1"],
+    "tables": ["tables", "--records", os.devnull],
+    "sequence": ["sequence", "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("search-pairs", ["--cache", "x"]),
+    *((c, o) for c in ("explore", "verify-theorem", "chains", "simulate",
+                       "tables")
+      for o in (["--cache", "x"], ["--format", "csv"])),
+    ("sequence", ["--format", "csv"]),
+])
+def test_option_a_command_does_not_read_is_a_usage_error(command, option,
+                                                         capsys):
+    assert cli.run(_BASE_ARGV[command] + option) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and option[0] in err
+
+
+def test_only_the_factoring_commands_read_the_policy_env(monkeypatch):
+    monkeypatch.setenv(cli.POLICY_ENV, "/nonexistent")
+    assert run_capture(["verify-theorem"])[0] == 0
+    assert run_capture(["sequence", "--steps", "2"]) == (2, "")
+
+
+def test_every_policy_field_is_a_flag_of_the_factoring_commands():
+    parsers = _subparsers()
+    for command in ("expand", "sequence"):
+        dests = {a.dest for a in parsers[command]._actions}
+        assert {f.name for f in dataclasses.fields(EffortPolicy)} <= dests
+
+
+def test_every_policy_field_changes_the_census_fingerprint():
+    base = graph._policy_fingerprint(DEFAULT_POLICY)
+    for f in dataclasses.fields(EffortPolicy):
+        other = dataclasses.replace(
+            DEFAULT_POLICY, **{f.name: getattr(DEFAULT_POLICY, f.name) + 1})
+        assert graph._policy_fingerprint(other) != base, f.name
+
+
+@pytest.mark.parametrize("text", ['{"ecm_curves": "50"}', '[50]',
+                                  '{"ecm_curve": 0}', '{"trial_bound": '])
+def test_bad_policy_file_exit_two(tmp_path, monkeypatch, capsys, text):
+    pol = tmp_path / "policy.json"
+    pol.write_text(text)
+    monkeypatch.setenv(cli.POLICY_ENV, str(pol))
+    assert cli.run(["sequence", "--steps", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(pol) in err

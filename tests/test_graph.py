@@ -84,6 +84,19 @@ def test_bfs_levels_ignores_checkpoint_of_another_ladder(tmp_path):
     assert gr.bfs_levels(1, 7, checkpoint=str(ck)) == gr.bfs_levels(1, 7)
 
 
+def test_bfs_levels_resumes_only_under_the_same_time_budget(tmp_path):
+    ck = tmp_path / "frontier.jsonl"
+    budget = EffortPolicy(time_budget=0.5)
+    gr.bfs_levels(1, 5, budget, checkpoint=str(ck))
+    header, rest = ck.read_text().split("\n", 1)
+    obj = json.loads(header)
+    obj["summaries"][-1][2] = 99  # a blocked count only this checkpoint has
+    ck.write_text(json.dumps(obj) + "\n" + rest)
+    resumed = gr.bfs_levels(1, 5, budget, checkpoint=str(ck))
+    assert resumed[-1].composite_count == 99
+    assert gr.bfs_levels(1, 7, checkpoint=str(ck)) == gr.bfs_levels(1, 7)
+
+
 def test_load_frontier_rejects_header_without_root(tmp_path):
     ck = tmp_path / "frontier.jsonl"
     gr.bfs_levels(1, 3, checkpoint=str(ck))
