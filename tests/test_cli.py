@@ -285,14 +285,8 @@ def test_cache_flag(tmp_path):
     assert code == 0
     assert out.split() == ["7432339208719"]
 
+
 # each command takes only the options it reads ---------------------------
-
-def _subparsers():
-    parser = cli.build_parser()
-    action = next(a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
 
 # a valid call of each command that ignores --cache or --format
 _BASE_ARGV = {
@@ -327,7 +321,8 @@ def test_only_the_factoring_commands_read_the_policy_env(monkeypatch):
 
 
 def test_every_policy_field_is_a_flag_of_the_factoring_commands():
-    parsers = _subparsers()
+    parsers = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
     for command in ("expand", "sequence"):
         dests = {a.dest for a in parsers[command]._actions}
         assert {f.name for f in dataclasses.fields(EffortPolicy)} <= dests
