@@ -134,18 +134,43 @@ def _records_kept(args: argparse.Namespace) -> int:
     return kept
 
 
-def _open_out(path: str, keep: int) -> TextIO:
-    """Open ``path`` for writing after its first ``keep`` lines."""
-    if not keep:
-        return open(path, "w", encoding="utf-8")
-    with open(path, "a+b") as fh:
-        fh.seek(0)
-        for _ in range(keep):
-            if not fh.readline().endswith(b"\n"):
-                raise ValueError(f"{path} holds fewer than the {keep} "
-                                 "records its checkpoint counts")
-        fh.truncate()
-    return open(path, "a", encoding="utf-8")
+class _Out:
+    """The --out file, opened at the first line written: input rejected
+    before any output leaves an existing file as it was. A resumed
+    search-pairs run keeps the first ``keep`` lines, checked here, and
+    writes after them."""
+
+    def __init__(self, path: str, keep: int):
+        self.path, self.keep = path, keep
+        self.kept_bytes = 0
+        self.fh: Optional[TextIO] = None
+        if keep:
+            with open(path, "rb") as fh:
+                for _ in range(keep):
+                    if not fh.readline().endswith(b"\n"):
+                        raise ValueError(f"{path} holds fewer than the "
+                                         f"{keep} records its checkpoint "
+                                         "counts")
+                self.kept_bytes = fh.tell()
+
+    def open(self) -> TextIO:
+        """The file, truncated after its kept lines on the first call."""
+        if self.fh is None:
+            if self.keep:
+                os.truncate(self.path, self.kept_bytes)
+            self.fh = open(self.path, "a" if self.keep else "w",
+                           encoding="utf-8")
+        return self.fh
+
+    def write(self, text: str) -> int:
+        return self.open().write(text)
+
+    def flush(self) -> None:
+        self.open().flush()
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
 
 
 def _cmd_search_pairs(args: argparse.Namespace, out: TextIO) -> int:
@@ -321,18 +346,21 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    opened = None
+    out = None
     try:
         keep = _records_kept(args)
         if args.out:
-            opened = _open_out(args.out, keep)
-        return args.func(args, opened or sys.stdout)
+            out = _Out(args.out, keep)
+        code = args.func(args, out or sys.stdout)
+        if out is not None:
+            out.open()  # a run with no output still truncates the file
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if opened is not None:
-            opened.close()
+        if out is not None:
+            out.close()
 
 
 def main() -> None:

@@ -15,6 +15,9 @@ import json
 import math
 import random
 from dataclasses import astuple, dataclass
+from functools import partial
+from itertools import repeat, starmap
+from operator import le
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
@@ -54,20 +57,42 @@ class LevelSummary:
     composite_count: int
 
 
+def _watch_int(obj: dict, key: str) -> int:
+    """The integer at ``key`` of a watch line: a JSON integer or a decimal
+    string, never a float or a bool."""
+    if key not in obj:
+        raise ValueError(f"no {key!r}")
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"{key!r} is not an integer")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class WatchList:
     classes: tuple[ResidueClass, ...]
 
     @staticmethod
     def load(path: str) -> "WatchList":
+        """Read one JSON object per line, its residue ``a`` and modulus
+        ``m`` integers or decimal strings. A line that is not such an
+        object, or not an invertible reduced class, raises ValueError
+        naming the file and line."""
         classes = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
-                classes.append(ResidueClass(int(obj["a"]), int(obj["m"])))
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("not a JSON object")
+                    a, m = (_watch_int(obj, key) for key in ("a", "m"))
+                    classes.append(ResidueClass(a, m))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad watch line "
+                                     f"{line!r}: {exc}") from None
         return WatchList(tuple(classes))
 
     def dump(self, path: str) -> None:
@@ -362,6 +387,10 @@ def unique_chain_scan(nodes: Iterable[Node], ell: int) -> Iterator[Node]:
             yield nd
 
 
+# draws per cut in the growth model's log-log regime
+_GROWTH_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class GrowthStats:
     """Per-trial terminal ratios of the growth model, with aggregates."""
@@ -383,12 +412,24 @@ def simulate_growth_model(k_max: int, trials: int, seed: int,
     values are small, then switches to y = log(log(n)) where the update
     is y += log1p(exp((theta-1)*y)), which is numerically stable because
     the exponent is nonpositive. Reports y/sqrt(2k) per trial.
+
+    In the log-log regime most steps leave y exactly as it was, and only
+    the draws that can move it reach Python code. The thetas are drawn in
+    chunks; a draw below cut = 1 + (log(ulp(y)) - 2)/y, taken at the start
+    of its chunk, is skipped. Skipping is exact: for theta < cut the
+    increment is at most exp((theta-1)*y) < ulp(y)*e**-2 (log1p(u) <= u),
+    well under the half ulp that y + increment rounds away. A cut taken
+    at the chunk's start stays below the true one, since y never
+    decreases and cut(y) never decreases with it: within a binade it
+    rises with y, and where the ulp doubles it jumps up. Every theta is
+    still drawn, one per step, so the random stream is unchanged and the
+    result is bit-identical to a per-step loop.
     """
     if k_max < 1 or trials < 1:
         raise ValueError("k_max and trials must be >= 1")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    log1p, exp, log = math.log1p, math.exp, math.log
+    if not 1 <= n0 < math.inf:
+        raise ValueError("n0 must be a finite number >= 1")
+    log1p, exp, log, ulp = math.log1p, math.exp, math.log, math.ulp
     ratios = []
     scale = math.sqrt(2 * k_max)
     for t in range(trials):
@@ -404,9 +445,12 @@ def simulate_growth_model(k_max: int, trials: int, seed: int,
             ratios.append(log(l) / scale)
             continue
         y = log(l)
-        for _ in range(k_max - k):
-            theta = rng.random()
-            y += log1p(exp((theta - 1.0) * y))
+        for start in range(k, k_max, _GROWTH_CHUNK):
+            cut = 1.0 + (log(ulp(y)) - 2.0) / y
+            draws = starmap(rng.random,
+                            repeat((), min(_GROWTH_CHUNK, k_max - start)))
+            for theta in filter(partial(le, cut), draws):
+                y += log1p(exp((theta - 1.0) * y))
         ratios.append(y / scale)
     mean = sum(ratios) / trials
     var = sum((r - mean) ** 2 for r in ratios) / trials

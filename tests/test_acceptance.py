@@ -6,6 +6,7 @@ budgets assert them; the minutes-scale searches use a generous ceiling.
 """
 
 import contextlib
+import hashlib
 import itertools
 import time
 
@@ -188,3 +189,7 @@ def test_criterion_11_growth_model():
         assert 0.9 <= stats.mean <= 1.1, stats.mean
         again = gr.simulate_growth_model(10 ** 6, 20, 12345)
         assert stats == again
+        # the ratios of the per-step loop, before draws were skipped
+        hexes = " ".join(r.hex() for r in stats.ratios)
+        assert hashlib.sha256(hexes.encode()).hexdigest() == \
+            "e2c5b2fb6c9729ec7550b0a5c41dcb1dd5362bf6419d02921154fab225cac40d"

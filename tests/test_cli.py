@@ -236,6 +236,44 @@ def test_runtime_error_exit_two(tmp_path):
     assert code == 2
 
 
+def test_malformed_watch_line_exit_two(tmp_path, capsys):
+    watch = tmp_path / "watch.jsonl"
+    watch.write_text('{"a": "19"}\n')
+    code = cli.run(["explore", "--root", "1", "--bound", "5",
+                    "--max-level", "2", "--watch", str(watch)])
+    assert code == 2
+    assert f"{watch}:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_input", ["policy file", "cache line",
+                                       "watch file"])
+def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
+    out = tmp_path / "kept.jsonl"
+    out.write_text("kept\n")
+    bad = tmp_path / "bad"
+    if bad_input == "policy file":
+        bad.write_text('{"ecm_curve": 1}')
+        monkeypatch.setenv(cli.POLICY_ENV, str(bad))
+        argv = ["expand", "--max-level", "3"]
+    elif bad_input == "cache line":
+        bad.write_text("not a cache line\n")
+        argv = ["sequence", "--steps", "3", "--cache", str(bad)]
+    else:  # a missing file
+        argv = ["explore", "--bound", "5", "--max-level", "2",
+                "--watch", str(bad)]
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_run_without_output_truncates_out(tmp_path):
+    out, watch = tmp_path / "hits.jsonl", tmp_path / "watch.jsonl"
+    out.write_text("old\n")
+    watch.write_text("")
+    assert cli.run(["explore", "--bound", "5", "--max-level", "2",
+                    "--watch", str(watch), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_malformed_cache_exit_two(tmp_path):
     cache = tmp_path / "cache.txt"
     cache.write_text("not a cache line\n")

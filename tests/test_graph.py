@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 
 import pytest
 
@@ -192,6 +194,20 @@ def test_watch_list_file_roundtrip(tmp_path):
     assert gr.WatchList.load(path) == w
 
 
+@pytest.mark.parametrize("line", [
+    '[19, 30]', '"19 mod 30"', '{"a": "19", "m": ',   # not a JSON object
+    '{"m": "30"}', '{"a": "19"}',                      # a or m missing
+    '{"a": 19.5, "m": 30}', '{"a": "x", "m": "30"}',   # not an integer
+    '{"a": true, "m": 30}', '{"a": "19", "m": null}',
+    '{"a": "31", "m": "30"}',                          # not a reduced class
+])
+def test_watch_list_rejects_bad_line(tmp_path, line):
+    path = tmp_path / "watch.jsonl"
+    path.write_text('{"a": "1", "m": "30"}\n\n' + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+        gr.WatchList.load(str(path))
+
+
 def test_watch_hit_admits_all_class_paths():
     # a watched hit is a loop base: every ordering in the class is a path
     a, m = 19, 30
@@ -282,6 +298,49 @@ def test_growth_model_single_step_finite_positive():
 def test_growth_model_ratio_scale():
     st = gr.simulate_growth_model(200_000, 6, 7)
     assert 0.85 < st.mean < 1.0
+
+
+def _growth_reference(k_max, trials, seed, n0=1.0):
+    """The growth model with one Python step per draw and no skipping."""
+    log1p, exp, log = math.log1p, math.exp, math.log
+    ratios = []
+    scale = math.sqrt(2 * k_max)
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        l = log(n0)
+        k = 0
+        while k < k_max and l < 120.0:
+            theta = rng.random()
+            l += (l + log1p(exp(-l))) ** theta
+            k += 1
+        if k == k_max:
+            ratios.append(log(l) / scale)
+            continue
+        y = log(l)
+        for _ in range(k_max - k):
+            theta = rng.random()
+            y += log1p(exp((theta - 1.0) * y))
+        ratios.append(y / scale)
+    mean = sum(ratios) / trials
+    var = sum((r - mean) ** 2 for r in ratios) / trials
+    return gr.GrowthStats(k_max, trials, seed, tuple(ratios),
+                          mean, math.sqrt(var))
+
+
+@pytest.mark.parametrize("k_max", [1, 10, 1000, gr._GROWTH_CHUNK - 1,
+                                   gr._GROWTH_CHUNK + 1, 200_000])
+@pytest.mark.parametrize("n0", [1.0, 3.0, 1e60])
+def test_growth_model_matches_per_step_reference(k_max, n0):
+    # n0 = 1e60 starts in the log-log regime, where draws are skipped
+    for seed in (7, 99, 12345):
+        assert gr.simulate_growth_model(k_max, 2, seed, n0) \
+            == _growth_reference(k_max, 2, seed, n0)
+
+
+@pytest.mark.parametrize("n0", [float("nan"), math.inf, 0.5])
+def test_growth_model_rejects_bad_start(n0):
+    with pytest.raises(ValueError, match="n0"):
+        gr.simulate_growth_model(10, 2, 1, n0=n0)
 
 
 # factor cache interplay ----------------------------------------------------------
