@@ -1,12 +1,12 @@
 """Arbitrary-precision arithmetic services.
 
 Primality testing (deterministic below 2**64, strong-probable-prime style
-above), small-prime extraction by blocked gcds against prime products, a
-staged factoring ladder (small primes, a short pass of Brent's cycle
-method, elliptic curves with Montgomery's stage 2, then a long Brent pass)
-backed by a persistent factor cache, modular inverses, Chinese
-remaindering, and a segmented squarefree enumerator that never falls back
-to general factoring.
+above), small-prime extraction by a remainder tree under the product of
+the small primes, a staged factoring ladder (small primes, a short pass of
+Brent's cycle method, elliptic curves with Montgomery's stage 2, then a
+long Brent pass) backed by a persistent factor cache, modular inverses,
+Chinese remaindering, and a segmented squarefree enumerator that never
+falls back to general factoring.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class NotInvertible(ValueError):
@@ -303,33 +303,73 @@ def _prime_flags(lo: int, hi: int) -> bytearray:
     return flags
 
 
-_GCD_BLOCK = 512
-
-
 @functools.lru_cache(maxsize=4)
-def _prime_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    ps = sieve_primes(bound)
-    blocks = []
-    for i in range(0, len(ps), _GCD_BLOCK):
-        chunk = tuple(ps[i:i + _GCD_BLOCK])
-        blocks.append((math.prod(chunk), chunk))
-    return tuple(blocks)
+def _primorial(bound: int) -> tuple[int, tuple[int, ...]]:
+    """The product of the primes <= bound, and those primes."""
+    ps = tuple(sieve_primes(bound))
+    return math.prod(ps), ps
+
+
+def _remainders(m: int, xs: list[int]) -> list[int]:
+    """m mod x for every x of xs, carried down a product tree of xs."""
+    tree = [xs]
+    while len(tree[-1]) > 1:
+        lv = tree[-1]
+        tree.append([math.prod(lv[i:i + 2]) for i in range(0, len(lv), 2)])
+    rs = [m]
+    for lv in reversed(tree):
+        rs = [rs[i >> 1] % x for i, x in enumerate(lv)]
+    return rs
+
+
+def _groups(xs: Iterable[int], bits: int) -> Iterator[list[int]]:
+    """Consecutive runs of xs, each closed once its bit lengths sum to
+    ``bits``; an x below 1 raises ValueError."""
+    group: list[int] = []
+    total = 0
+    for x in xs:
+        if x < 1:
+            raise ValueError(f"small primes of {x}: need x >= 1")
+        group.append(x)
+        total += x.bit_length()
+        if total >= bits:
+            yield group
+            group, total = [], 0
+    if group:
+        yield group
+
+
+def small_prime_factors_many(xs: Iterable[int], bound: int
+                             ) -> list[list[int]]:
+    """The distinct primes <= bound dividing each x >= 1 of xs, ascending.
+
+    With P the product of the primes <= bound, g = gcd(x, P mod x) is the
+    product of those primes that divide x. The remainders come from one
+    remainder tree per run of xs as long as P, so a tree holds O(|P|) bits.
+    """
+    P, ps = _primorial(bound)
+    out = []
+    for group in _groups(xs, P.bit_length()):
+        for x, r in zip(group, _remainders(P, group)):
+            g = math.gcd(x, r)
+            found = []
+            # g is squarefree with every prime <= bound, so once p*p > g
+            # what is left of g is 1 or a prime
+            for p in ps:
+                if p * p > g:
+                    break
+                if g % p == 0:
+                    found.append(p)
+                    g //= p
+            if g > 1:
+                found.append(g)
+            out.append(found)
+    return out
 
 
 def small_prime_factors(x: int, bound: int) -> list[int]:
-    """Distinct primes <= bound dividing x, by blocked gcd extraction."""
-    out = []
-    for prod_, chunk in _prime_blocks(bound):
-        g = math.gcd(x, prod_)
-        if g == 1:
-            continue
-        for p in chunk:
-            if g % p == 0:
-                out.append(p)
-                g //= p
-                if g == 1:
-                    break
-    return out
+    """The distinct primes <= bound dividing x >= 1, ascending."""
+    return small_prime_factors_many([x], bound)[0]
 
 
 def _iroot(n: int, k: int) -> int:

@@ -20,8 +20,11 @@ from itertools import repeat, starmap
 from operator import le
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+# small_prime_factors is not called here; it stays a module attribute so
+# code that reaches the one-number form through graph keeps working
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
-                    FactorCache, factor, is_prime, small_prime_factors)
+                    FactorCache, factor, is_prime, small_prime_factors,
+                    small_prime_factors_many)
 from .tuples import ResidueClass
 
 
@@ -167,11 +170,13 @@ def bfs_levels(root: int, max_level: int,
     while expanding level L-1, i.e. the children still hidden at L. The
     frontier and the summaries so far are checkpointed after each level
     for resumption under the same policy and factoring ladder (a checkpoint
-    of another policy or ladder is ignored); a checkpoint of another root
-    raises ValueError.
+    of another policy or ladder is ignored). A root below 1, a negative
+    max_level or a checkpoint of another root raises ValueError.
     """
     if root < 1:
         raise ValueError("root must be >= 1")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
     frontier = [Node(root)]
     level = 0
     summaries = [LevelSummary(0, 1, 0)]
@@ -209,21 +214,29 @@ def bounded_explore(roots: Sequence[Union[Node, int]], bound: int,
     """Breadth-first walk following only edges with prime <= bound.
 
     Child primes are the primes up to the bound dividing value+1, found
-    by blocked gcds: no general factoring is ever attempted. Every reach
-    is yielded, but each value is expanded only once, so a value
-    surfacing twice in the stream marks two distinct edge paths to it.
+    for a whole level at once by one remainder tree under the product of
+    those primes: no general factoring is ever attempted. Every reach is
+    yielded, but each value is expanded only once, so a value surfacing
+    twice in the stream marks two distinct edge paths to it. A root below
+    1, a bound below 2 or a negative max_level raises ValueError.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
     frontier = [r if isinstance(r, Node) else Node(r) for r in roots]
     seen = {nd.value for nd in frontier}
+    if min(seen, default=1) < 1:
+        raise ValueError("roots must be >= 1")
     for nd in frontier:
         yield nd
     level = 0
     while frontier and level < max_level:
         nxt = []
-        for nd in frontier:
-            for p in small_prime_factors(nd.value + 1, bound):
+        children = small_prime_factors_many(
+            [nd.value + 1 for nd in frontier], bound)
+        for nd, ps in zip(frontier, children):
+            for p in ps:
                 ch = nd.child(p)
                 yield ch
                 v = ch.value

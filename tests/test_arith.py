@@ -1,6 +1,7 @@
 """Tests for primality, factoring, CRT, and the squarefree sieve."""
 
 import math
+import random
 import re
 import time
 import types
@@ -210,6 +211,74 @@ def test_factor_cache_rejects_non_divisor(tmp_path, line):
     path.write_text(f"15=3,5\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2")):
         arith.FactorCache(str(path))
+
+
+# small primes ----------------------------------------------------------
+
+def small_primes_oracle(x, bound):
+    """Independent oracle: every prime up to the bound, tried in turn."""
+    return [p for p in arith.sieve_primes(bound) if x % p == 0]
+
+
+@given(st.integers(min_value=1, max_value=1 << 300),
+       st.sampled_from([2, 3, 5, 139, 140, 1000, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_small_prime_factors_matches_oracle(x, bound):
+    assert arith.small_prime_factors(x, bound) == small_primes_oracle(x, bound)
+
+
+@pytest.mark.parametrize("x,bound", [
+    (1, 2), (1, 1 << 16), (2, 2), (3, 2), (2 ** 20, 10), (3 ** 40, 3),
+    (139 ** 7, 139), (138 * 139, 139), (138 * 139, 138),
+    (2 ** 400 + 1, 5), (3 * 5 * 2 ** 400, 5),
+    (2 ** 400 * 3 ** 200 * 5 ** 100 + 30, 5),
+])
+def test_small_prime_factors_edge_cases(x, bound):
+    assert arith.small_prime_factors(x, bound) == small_primes_oracle(x, bound)
+
+
+def test_small_prime_factors_above_the_product():
+    # factor()'s case: an x far longer than the product of the primes
+    rng = random.Random(9)
+    primes = arith.sieve_primes(10_000)
+    for _ in range(5):
+        x = rng.getrandbits(20_000) | 1 << 19_999
+        x *= math.prod(rng.sample(primes, 40))
+        assert x.bit_length() > arith._primorial(10_000)[0].bit_length()
+        assert (arith.small_prime_factors(x, 10_000)
+                == small_primes_oracle(x, 10_000))
+
+
+@pytest.mark.parametrize("bound", [2, 5, 139, 1000])
+def test_small_prime_factors_many_matches_oracle(bound):
+    # mixed sizes, so groups close at varied points and trees are uneven
+    rng = random.Random(bound)
+    primes = arith.sieve_primes(bound)
+    xs = []
+    for _ in range(300):
+        x = rng.getrandbits(rng.choice([1, 8, 64, 300, 3000])) + 1
+        if rng.random() < 0.5:
+            x *= math.prod(rng.choices(primes, k=rng.randrange(1, 6)))
+        xs.append(x)
+    assert sum(x.bit_length() for x in xs) > 10 * arith._primorial(
+        bound)[0].bit_length()
+    assert arith.small_prime_factors_many(xs, bound) == [
+        small_primes_oracle(x, bound) for x in xs]
+    assert arith.small_prime_factors_many(iter(xs[:7]), bound) == [
+        arith.small_prime_factors(x, bound) for x in xs[:7]]
+
+
+def test_small_prime_factors_many_empty_and_bound_below_two():
+    assert arith.small_prime_factors_many([], 100) == []
+    assert arith.small_prime_factors_many([6, 1, 35], 1) == [[], [], []]
+
+
+@pytest.mark.parametrize("x", [0, -1, -30])
+def test_small_prime_factors_rejects_below_one(x):
+    with pytest.raises(ValueError):
+        arith.small_prime_factors(x, 30)
+    with pytest.raises(ValueError):
+        arith.small_prime_factors_many([6, x, 10], 30)
 
 
 # elliptic curves -------------------------------------------------------

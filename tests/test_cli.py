@@ -265,6 +265,22 @@ def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["explore", "--root=-1", "--bound", "30", "--max-level", "1"],
+    ["explore", "--root", "0", "--bound", "30", "--max-level", "1"],
+    ["chains", "--root=-1", "--ell", "2", "--max-level", "1"],
+    ["explore", "--bound", "30", "--max-level", "-1"],
+    ["chains", "--ell", "2", "--max-level", "-1"],
+    ["expand", "--root", "1", "--max-level", "-2"],
+])
+def test_bad_root_or_level_exit_two(tmp_path, argv):
+    out = tmp_path / "kept.jsonl"
+    out.write_text("kept\n")
+    assert cli.run(argv) == 2
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
 def test_run_without_output_truncates_out(tmp_path):
     out, watch = tmp_path / "hits.jsonl", tmp_path / "watch.jsonl"
     out.write_text("old\n")

@@ -1,5 +1,6 @@
 """Tests for graph expansion, paths, sequences, and the growth model."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from emgraph import graph as gr
 from emgraph import tuples as tp
-from emgraph.arith import EffortPolicy, FactorCache, factor
+from emgraph.arith import EffortPolicy, FactorCache, factor, sieve_primes
 
 from table_data import (COPRIME_ROWS, LEAST_RULE_PREFIX,
                         LARGEST_RULE_PREFIX, TRIPLE_ROWS)
@@ -163,6 +164,74 @@ def test_bounded_explore_finds_loops():
         reaches.setdefault(nd.value, []).append(nd.edge_primes)
     assert sorted(reaches[570]) == [(2, 3, 5), (5, 3, 2)]
     assert tp.equivalent(*reaches[570])
+
+
+def _blocked_small_primes(x, bound, block=512):
+    """The one-number blocked-gcd extraction that preceded the batch."""
+    ps = sieve_primes(bound)
+    out = []
+    for i in range(0, len(ps), block):
+        chunk = ps[i:i + block]
+        g = math.gcd(x, math.prod(chunk))
+        for p in chunk:
+            if g == 1:
+                break
+            if g % p == 0:
+                out.append(p)
+                g //= p
+    return out
+
+
+def _per_node_explore(roots, bound, max_level):
+    """Oracle: the walk that factored one node at a time."""
+    frontier = [r if isinstance(r, gr.Node) else gr.Node(r) for r in roots]
+    seen = {nd.value for nd in frontier}
+    yield from frontier
+    level = 0
+    while frontier and level < max_level:
+        nxt = []
+        for nd in frontier:
+            for p in _blocked_small_primes(nd.value + 1, bound):
+                ch = nd.child(p)
+                yield ch
+                if ch.value not in seen:
+                    seen.add(ch.value)
+                    nxt.append(ch)
+        frontier = nxt
+        level += 1
+
+
+@pytest.mark.parametrize("roots", [
+    [1], [19], [1, 19], [gr.Node(1806)], [19, 19], [gr.Node(1806), 1806]])
+@pytest.mark.parametrize("bound,max_level", [
+    (2, 6), (5, 8), (1 << 10, 8), (1 << 16, 7)])
+def test_bounded_explore_matches_per_node_walk(roots, bound, max_level):
+    assert (list(gr.bounded_explore(roots, bound, max_level))
+            == list(_per_node_explore(roots, bound, max_level)))
+
+
+def test_bounded_explore_walk_pinned():
+    # recorded from the per-node walk: 9612 reaches, edge primes one
+    # comma-joined line each
+    nodes = list(gr.bounded_explore([1], 1 << 16, 28))
+    text = "".join(",".join(map(str, nd.edge_primes)) + "\n"
+                   for nd in nodes)
+    assert len(nodes) == 9612
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c04f72e1fd0e8b216e258a2e9400d6538eda9f3c24e8bf9a703f1116141919ac")
+
+
+@pytest.mark.parametrize("roots,bound,max_level", [
+    ([-1], 30, 1), ([0], 30, 1), ([1, -5], 30, 1), ([gr.Node(0)], 30, 0),
+    ([1], 30, -1), ([1], 1, 1)])
+def test_bounded_explore_rejects_bad_input(roots, bound, max_level):
+    with pytest.raises(ValueError):
+        list(gr.bounded_explore(roots, bound, max_level))
+
+
+def test_bfs_levels_rejects_negative_max_level():
+    with pytest.raises(ValueError, match="max_level"):
+        gr.bfs_levels(1, -2)
 
 
 def test_small_prime_factors():
