@@ -226,9 +226,11 @@ def parametric_triple(p: ParametricLine
     return t, w
 
 
-# Families whose entries are at most linear in x get solved directly:
-# (line, n) -> closed forms, so classification never scans a long x range.
+# Families whose entries are at most linear in x get solved directly, so
+# classification never scans a long x range: lines 3 and 4, where n plays
+# no part, and the members (line, n) of lines 1 and 2 listed here.
 _LINEAR_FAMILIES = (
+    (3, 0), (4, 0),
     (1, 0), (1, 1), (1, -1),
     (2, 0), (2, 1), (2, -1), (2, -2),
 )
@@ -238,10 +240,6 @@ def _linear_matches(t: tuple[int, int, int]) -> list[ParametricLine]:
     out = []
     for delta in (1, -1):
         u = (t[0] * delta, t[1] * delta, t[2] * delta)
-        if u[0] == 1 and u[2] == 1:
-            out.append(ParametricLine(3, 0, u[1], delta))
-        if u[1] == 1 and u[0] + u[2] == 1:
-            out.append(ParametricLine(4, 0, u[0], delta))
         for line, n in _LINEAR_FAMILIES:
             probe = _evaluate_line(line, n, 0, 1)
             grad = tuple(b - a for a, b in

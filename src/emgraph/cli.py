@@ -255,9 +255,16 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
     source = open(args.records, "r", encoding="utf-8") if args.records \
         else sys.stdin
+    records = []
     try:
-        records = [PairRecord.from_json_line(line)
-                   for line in source if line.strip()]
+        for lineno, line in enumerate(source, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(PairRecord.from_json_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{args.records or '<stdin>'}:{lineno}: "
+                                 f"bad pair record: {exc}") from None
     finally:
         if args.records:
             source.close()

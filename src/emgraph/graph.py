@@ -20,12 +20,9 @@ from itertools import repeat, starmap
 from operator import le
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-# small_prime_factors is not called here; it stays a module attribute so
-# code that reaches the one-number form through graph keeps working
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
-                    FactorCache, factor, is_prime, small_prime_factors,
-                    small_prime_factors_many)
-from .tuples import ResidueClass
+                    FactorCache, factor, is_prime, small_prime_factors_many)
+from .tuples import ResidueClass, json_int
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,7 @@ def _watch_int(obj: dict, key: str) -> int:
     string, never a float or a bool."""
     if key not in obj:
         raise ValueError(f"no {key!r}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"{key!r} is not an integer")
-    return int(v)
+    return json_int(obj[key])
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,10 @@ def bfs_levels(root: int, max_level: int,
     while expanding level L-1, i.e. the children still hidden at L. The
     frontier and the summaries so far are checkpointed after each level
     for resumption under the same policy and factoring ladder (a checkpoint
-    of another policy or ladder is ignored). A root below 1, a negative
-    max_level or a checkpoint of another root raises ValueError.
+    of another policy or ladder is ignored). A checkpoint already at or past
+    max_level answers from its summaries and is left as it is. A root below
+    1, a negative max_level or a checkpoint of another root raises
+    ValueError.
     """
     if root < 1:
         raise ValueError("root must be >= 1")
@@ -186,7 +182,9 @@ def bfs_levels(root: int, max_level: int,
             if saved_root != root:
                 raise ValueError(f"checkpoint {checkpoint} is a census from "
                                  f"root {saved_root}, not {root}")
-            if fp == _policy_fingerprint(policy) and lv <= max_level:
+            if fp == _policy_fingerprint(policy):
+                if lv >= max_level:
+                    return sums[:max_level + 1]
                 level, summaries, frontier = lv, sums, nodes
         except FileNotFoundError:
             pass

@@ -202,6 +202,14 @@ def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
     return equivalent(ps, qs) and not _share_proper_prefix(ps, qs)
 
 
+def json_int(v: object) -> int:
+    """A JSON integer or decimal string as an int; ValueError for anything
+    else, a float or a bool included."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class PairRecord:
     """An unordered equivalent pair of orderings, canonically arranged.
@@ -247,23 +255,37 @@ class PairRecord:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PairRecord":
-        """Parse a record, raising ValueError unless it is self-consistent:
+        """Parse a record, raising ValueError unless it is a JSON object
+        with lists ``p``, ``q`` and ``residues`` of integers, an integer
+        ``modulus`` and a string ``kind`` if any, and is self-consistent:
         the modulus is the product of p, p and q are distinct equivalent
         orderings, and every residue is the class that p pins."""
-        p = PrimeTuple(tuple(int(v) for v in obj["p"]))
-        q = PrimeTuple(tuple(int(v) for v in obj["q"]))
-        m = int(obj["modulus"])
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        for key in ("p", "q", "modulus", "residues"):
+            if key not in obj:
+                raise ValueError(f"no {key!r}")
+        if not all(isinstance(obj[key], list) for key in ("p", "q",
+                                                           "residues")):
+            raise ValueError("'p', 'q' and 'residues' are not all lists")
+        kind = obj.get("kind", "general")
+        if not isinstance(kind, str):
+            raise ValueError(f"kind {kind!r} is not a string")
+        p = PrimeTuple(tuple(map(json_int, obj["p"])))
+        q = PrimeTuple(tuple(map(json_int, obj["q"])))
+        m = json_int(obj["modulus"])
         if m != p.modulus:
             raise ValueError(f"modulus {m} is not the product of {p}")
         if p == q:
             raise ValueError(f"{p} is paired with itself")
         if not equivalent(p, q):
             raise ValueError(f"{p} and {q} are not equivalent orderings")
-        residues = tuple(ResidueClass(int(a), m) for a in obj["residues"])
+        residues = tuple(ResidueClass(json_int(a), m)
+                         for a in obj["residues"])
         rc = residue_class(p)
         if any(r != rc for r in residues):
             raise ValueError(f"a residue of {p} differs from {rc}")
-        return PairRecord(p, q, residues, obj.get("kind", "general"))
+        return PairRecord(p, q, residues, kind)
 
     @staticmethod
     def from_json_line(line: str) -> "PairRecord":

@@ -115,6 +115,17 @@ def test_expand_checkpoint_of_another_root(tmp_path):
     assert run_capture(argv + ["--root", "5"]) == (0, five)
 
 
+def test_expand_shorter_census_keeps_deeper_checkpoint(tmp_path):
+    ck = tmp_path / "frontier.ck"
+    assert cli.run(["expand", "--max-level", "8", "--checkpoint",
+                    str(ck)]) == 0
+    deep = ck.read_bytes()
+    code, out = run_capture(["expand", "--max-level", "3", "--checkpoint",
+                             str(ck)])
+    assert (code, out) == run_capture(["expand", "--max-level", "3"])
+    assert ck.read_bytes() == deep
+
+
 def test_verify_theorem_exit_code():
     code, out = run_capture(["verify-theorem"])
     assert code == 0
@@ -220,6 +231,33 @@ def test_tables_rejects_inconsistent_record(tmp_path):
     code, out = run_capture(["tables", "--records", str(recs)])
     assert code == 2
     assert out == ""
+
+
+GOOD_RECORD = ('{"kind":"triple","modulus":"30","p":["2","3","5"],'
+               '"q":["5","3","2"],"residues":["19"]}')
+
+
+@pytest.mark.parametrize("line", [
+    '[1]', '"x"',                                      # not a JSON object
+    '{"q":["2"]}',                                     # p and more missing
+    '{"p":5,"q":["2"],"modulus":"2","residues":[]}',   # a field's type
+    GOOD_RECORD.replace('"triple"', '5'),              # kind not a string
+])
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_tables_malformed_record_exit_two(tmp_path, monkeypatch, capsys,
+                                          line, from_stdin):
+    text = GOOD_RECORD + "\n\n" + line + "\n"
+    recs = tmp_path / "recs.jsonl"
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv, where = ["tables"], "<stdin>:3: "
+    else:
+        recs.write_text(text)
+        argv, where = ["tables", "--records", str(recs)], f"{recs}:3: "
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}bad pair record")
 
 
 def test_usage_errors_exit_one():

@@ -10,7 +10,8 @@ import pytest
 
 from emgraph import graph as gr
 from emgraph import tuples as tp
-from emgraph.arith import EffortPolicy, FactorCache, factor, sieve_primes
+from emgraph.arith import (EffortPolicy, FactorCache, factor, sieve_primes,
+                           small_prime_factors)
 
 from table_data import (COPRIME_ROWS, LEAST_RULE_PREFIX,
                         LARGEST_RULE_PREFIX, TRIPLE_ROWS)
@@ -235,10 +236,10 @@ def test_bfs_levels_rejects_negative_max_level():
 
 
 def test_small_prime_factors():
-    assert gr.small_prime_factors(1807, 12) == []
-    assert gr.small_prime_factors(1807, 100) == [13]
-    assert gr.small_prime_factors(1807, 139) == [13, 139]
-    assert gr.small_prime_factors(2 ** 20, 10) == [2]
+    assert small_prime_factors(1807, 12) == []
+    assert small_prime_factors(1807, 100) == [13]
+    assert small_prime_factors(1807, 139) == [13, 139]
+    assert small_prime_factors(2 ** 20, 10) == [2]
 
 
 # watches ---------------------------------------------------------------------

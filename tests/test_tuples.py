@@ -193,6 +193,11 @@ def test_pair_record_large_values_roundtrip():
     ("q", ["3", "2", "5"]),  # not equivalent to p
     ("residues", ["1"]),  # not the class p pins
     ("q", ["2", "3", "5"]),  # p paired with itself
+    # a field of the wrong type
+    ("p", 5), ("p", "235"), ("q", {"5": 3}), ("residues", "19"),
+    ("p", [2.0, "3", "5"]), ("q", ["5", True, "2"]), ("modulus", 30.0),
+    ("modulus", ["30"]), ("modulus", None), ("residues", [None]),
+    ("kind", 5), ("kind", None), ("kind", ["triple"]),
 ])
 def test_pair_record_rejects_inconsistent_record(field, value):
     obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
@@ -200,6 +205,26 @@ def test_pair_record_rejects_inconsistent_record(field, value):
     obj[field] = value
     with pytest.raises(ValueError):
         tp.PairRecord.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [[1], "x", None, 30])
+def test_pair_record_rejects_non_object(obj):
+    with pytest.raises(ValueError, match="not a JSON object"):
+        tp.PairRecord.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("key", ["p", "q", "modulus", "residues"])
+def test_pair_record_rejects_missing_field(key):
+    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    del obj[key]
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        tp.PairRecord.from_json_obj(obj)
+
+
+def test_pair_record_accepts_json_integers():
+    obj = {"p": [2, 3, 5], "q": [5, 3, 2], "modulus": 30, "residues": [19]}
+    assert tp.PairRecord.from_json_obj(obj) == tp.make_pair((2, 3, 5),
+                                                             (5, 3, 2))
 
 
 def test_prime_tuple_validation():
