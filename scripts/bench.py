@@ -46,22 +46,23 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# job -> (the parameters kept in its record, a zero-argument run, and the
-# summary of the run's output kept in its record)
+# job -> (the parameters kept in its record, a run of those parameters,
+# and the summary of the run's output kept in its record)
 JOBS = {
     "census": (
         {"policy": STRETCH.__dict__, "max_level": 10},
-        lambda: bfs_levels(1, 10, STRETCH),
+        lambda p: bfs_levels(1, p["max_level"], STRETCH),
         lambda sums: {"levels": [s.node_count for s in sums],
                       "blocked": [s.composite_count for s in sums]}),
     "explore": (
         {"roots": [1], "bound": 1 << 16, "max_level": 28},
-        lambda: list(bounded_explore([1], 1 << 16, 28)),
+        lambda p: list(bounded_explore(p["roots"], p["bound"],
+                                       p["max_level"])),
         lambda nodes: {"reaches": len(nodes), "edges_sha256": _sha256("".join(
             ",".join(map(str, nd.edge_primes)) + "\n" for nd in nodes))}),
     "growth": (
         {"k_max": 10 ** 6, "trials": 20, "seed": 12345},
-        lambda: simulate_growth_model(10 ** 6, 20, 12345),
+        lambda p: simulate_growth_model(p["k_max"], p["trials"], p["seed"]),
         lambda stats: {"ratios_sha256": _sha256(
             " ".join(r.hex() for r in stats.ratios))}),
 }
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     walls = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        result = run()
+        result = run(params)
         walls.append(round(time.perf_counter() - t0, 4))
     record = {"revision": revision(), "note": args.note, **params,
               "repeats": REPEATS, "median_wall_s": statistics.median(walls),

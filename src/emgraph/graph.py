@@ -20,8 +20,11 @@ from itertools import repeat, starmap
 from operator import le
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+# small_prime_factors is not called here; it stays a module attribute so
+# code that reaches the one-number form through graph keeps working
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
-                    FactorCache, factor, is_prime, small_prime_factors_many)
+                    FactorCache, factor, is_prime, small_prime_factors,
+                    small_prime_factors_many)
 from .tuples import ResidueClass, json_int
 
 
@@ -62,7 +65,7 @@ def _watch_int(obj: dict, key: str) -> int:
     string, never a float or a bool."""
     if key not in obj:
         raise ValueError(f"no {key!r}")
-    return json_int(obj[key])
+    return json_int(obj[key], key)
 
 
 @dataclass(frozen=True)

@@ -202,12 +202,16 @@ def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
     return equivalent(ps, qs) and not _share_proper_prefix(ps, qs)
 
 
-def json_int(v: object) -> int:
-    """A JSON integer or decimal string as an int; ValueError for anything
-    else, a float or a bool included."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
+def json_int(v: object, key: str) -> int:
+    """A JSON integer or decimal string, read from field ``key``, as an int;
+    ValueError naming ``key`` for anything else, a float or a bool
+    included."""
+    if not isinstance(v, bool) and isinstance(v, (int, str)):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValueError(f"{key!r} has {v!r}, not an integer")
 
 
 @dataclass(frozen=True)
@@ -265,22 +269,22 @@ class PairRecord:
         for key in ("p", "q", "modulus", "residues"):
             if key not in obj:
                 raise ValueError(f"no {key!r}")
-        if not all(isinstance(obj[key], list) for key in ("p", "q",
-                                                           "residues")):
-            raise ValueError("'p', 'q' and 'residues' are not all lists")
+        for key in ("p", "q", "residues"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"{key!r} is not a list")
         kind = obj.get("kind", "general")
         if not isinstance(kind, str):
-            raise ValueError(f"kind {kind!r} is not a string")
-        p = PrimeTuple(tuple(map(json_int, obj["p"])))
-        q = PrimeTuple(tuple(map(json_int, obj["q"])))
-        m = json_int(obj["modulus"])
+            raise ValueError(f"'kind' has {kind!r}, not a string")
+        p = PrimeTuple(tuple(json_int(v, "p") for v in obj["p"]))
+        q = PrimeTuple(tuple(json_int(v, "q") for v in obj["q"]))
+        m = json_int(obj["modulus"], "modulus")
         if m != p.modulus:
             raise ValueError(f"modulus {m} is not the product of {p}")
         if p == q:
             raise ValueError(f"{p} is paired with itself")
         if not equivalent(p, q):
             raise ValueError(f"{p} and {q} are not equivalent orderings")
-        residues = tuple(ResidueClass(json_int(a), m)
+        residues = tuple(ResidueClass(json_int(a, "residues"), m)
                          for a in obj["residues"])
         rc = residue_class(p)
         if any(r != rc for r in residues):

@@ -10,8 +10,7 @@ import pytest
 
 from emgraph import graph as gr
 from emgraph import tuples as tp
-from emgraph.arith import (EffortPolicy, FactorCache, factor, sieve_primes,
-                           small_prime_factors)
+from emgraph.arith import EffortPolicy, FactorCache, factor, sieve_primes
 
 from table_data import (COPRIME_ROWS, LEAST_RULE_PREFIX,
                         LARGEST_RULE_PREFIX, TRIPLE_ROWS)
@@ -236,10 +235,10 @@ def test_bfs_levels_rejects_negative_max_level():
 
 
 def test_small_prime_factors():
-    assert small_prime_factors(1807, 12) == []
-    assert small_prime_factors(1807, 100) == [13]
-    assert small_prime_factors(1807, 139) == [13, 139]
-    assert small_prime_factors(2 ** 20, 10) == [2]
+    assert gr.small_prime_factors(1807, 12) == []
+    assert gr.small_prime_factors(1807, 100) == [13]
+    assert gr.small_prime_factors(1807, 139) == [13, 139]
+    assert gr.small_prime_factors(2 ** 20, 10) == [2]
 
 
 # watches ---------------------------------------------------------------------
@@ -275,6 +274,17 @@ def test_watch_list_rejects_bad_line(tmp_path, line):
     path = tmp_path / "watch.jsonl"
     path.write_text('{"a": "1", "m": "30"}\n\n' + line + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+        gr.WatchList.load(str(path))
+
+
+@pytest.mark.parametrize("line, key", [
+    ('{"a": 19.5, "m": 30}', "a"), ('{"a": "x", "m": "30"}', "a"),
+    ('{"a": true, "m": 30}', "a"), ('{"a": "19", "m": null}', "m"),
+])
+def test_watch_list_bad_integer_names_key(tmp_path, line, key):
+    path = tmp_path / "watch.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=f": {key!r} has "):
         gr.WatchList.load(str(path))
 
 

@@ -193,17 +193,25 @@ def test_pair_record_large_values_roundtrip():
     ("q", ["3", "2", "5"]),  # not equivalent to p
     ("residues", ["1"]),  # not the class p pins
     ("q", ["2", "3", "5"]),  # p paired with itself
-    # a field of the wrong type
-    ("p", 5), ("p", "235"), ("q", {"5": 3}), ("residues", "19"),
-    ("p", [2.0, "3", "5"]), ("q", ["5", True, "2"]), ("modulus", 30.0),
-    ("modulus", ["30"]), ("modulus", None), ("residues", [None]),
-    ("kind", 5), ("kind", None), ("kind", ["triple"]),
 ])
 def test_pair_record_rejects_inconsistent_record(field, value):
     obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
     tp.PairRecord.from_json_obj(obj)
     obj[field] = value
     with pytest.raises(ValueError):
+        tp.PairRecord.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", 5), ("p", "235"), ("q", {"5": 3}), ("residues", "19"),
+    ("p", [2.0, "3", "5"]), ("q", ["5", True, "2"]), ("q", ["5", "x", "2"]),
+    ("modulus", 30.0), ("modulus", ["30"]), ("modulus", None),
+    ("residues", [None]), ("kind", 5), ("kind", None), ("kind", ["triple"]),
+])
+def test_pair_record_rejects_wrong_type(field, value):
+    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    obj[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
         tp.PairRecord.from_json_obj(obj)
 
 
