@@ -325,10 +325,6 @@ def generate_prime_triples(x_max: int) -> Iterator[PairRecord]:
             yield make_pair(t, tuple(reversed(t)), kind="triple")
 
 
-def _block_prefix(values: Sequence[int], i: int) -> int:
-    return prod(values[:i]) if i else 1
-
-
 def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
     """Lift a block-level equivalence to the full prime tuple.
 
@@ -354,26 +350,12 @@ def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
 
     q_blocks = pi.apply(blocks)
     for i in range(k):
-        lhs = _block_prefix(blocks, i)
-        rhs = _block_prefix(q_blocks, pi.images[i])
-        if (lhs - rhs) % blocks[i]:
+        if (prod(blocks[:i]) - prod(q_blocks[:pi.images[i]])) % blocks[i]:
             raise BlockCongruenceFailed(
                 f"block congruence fails at position {i + 1}")
 
-    sizes = [len(o) for o in orderings]
-    inv = pi.inverse().images
-    s = [0] * (k + 1)
-    t = [0] * (k + 1)
-    for i in range(k):
-        s[i + 1] = s[i] + sizes[i]
-        t[i + 1] = t[i] + sizes[inv[i]]
-    images = [0] * len(flat)
-    for i in range(k):
-        for j in range(sizes[i]):
-            images[s[i] + j] = t[pi.images[i]] + j
-    big = Permutation(tuple(images))
-    P = tuple(flat)
-    return PrimeTuple(P), PrimeTuple(big.apply(P))
+    partner = tuple(p for i in pi.inverse().images for p in orderings[i])
+    return PrimeTuple(tuple(flat)), PrimeTuple(partner)
 
 
 def _kind_for(P: Sequence[int], Q: Sequence[int]) -> str:

@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .arith import DEFAULT_POLICY, EffortPolicy, FactorCache
 from . import graph, modsearch
@@ -98,21 +98,6 @@ def export_tables(records: Sequence[PairRecord]) -> list[str]:
     return lines
 
 
-def _stream_records(records: Iterable[PairRecord], out: TextIO,
-                    fmt: str) -> int:
-    if fmt == "csv":
-        # csv needs modulus grouping, so collect first
-        lines = export_tables(list(records))
-        for line in lines:
-            _emit(out, line)
-        return 0
-    for r in records:
-        _emit(out, r.to_json_line())
-        # the record reaches the file before a checkpoint counts it
-        out.flush()
-    return 0
-
-
 def _search_config(args: argparse.Namespace) -> modsearch.SearchConfig:
     return modsearch.SearchConfig(
         lo=args.lo, hi=args.hi, min_k=args.min_k,
@@ -123,15 +108,10 @@ def _search_config(args: argparse.Namespace) -> modsearch.SearchConfig:
 
 def _records_kept(args: argparse.Namespace) -> int:
     """Records of --out that a resumed search-pairs run keeps: the count in
-    its checkpoint. A CSV table cannot be resumed."""
+    its checkpoint."""
     if args.command != "search-pairs" or not args.checkpoint:
         return 0
-    sc = _search_config(args)
-    lo, kept = modsearch.resume_point(sc, args.checkpoint)
-    if lo != sc.lo and args.format == "csv":
-        raise ValueError("a CSV table cannot be resumed from a checkpoint; "
-                         "search to JSONL and render it with tables")
-    return kept
+    return modsearch.resume_point(_search_config(args), args.checkpoint)[1]
 
 
 class _Out:
@@ -174,8 +154,12 @@ class _Out:
 
 
 def _cmd_search_pairs(args: argparse.Namespace, out: TextIO) -> int:
-    return _stream_records(modsearch.search_range(
-        _search_config(args), checkpoint=args.checkpoint), out, args.format)
+    for r in modsearch.search_range(_search_config(args),
+                                    checkpoint=args.checkpoint):
+        _emit(out, r.to_json_line())
+        # the record reaches the file before a checkpoint counts it
+        out.flush()
+    return 0
 
 
 def _cmd_expand(args: argparse.Namespace, out: TextIO) -> int:
@@ -278,17 +262,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def command(name: str, func, help: str, *, formats: bool = False,
+    def command(name: str, func, help: str, *,
                 factors: bool = False) -> argparse.ArgumentParser:
-        """A subcommand with --out, plus --format when it writes CSV as
-        well as JSONL, and --cache and one flag per EffortPolicy field
-        when it factors."""
+        """A subcommand with --out, plus --cache and one flag per
+        EffortPolicy field when it factors."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--out", default=None, help="output file (stdout)")
-        if formats:
-            p.add_argument("--format", choices=("jsonl", "csv"),
-                           default="jsonl")
         if factors:
             p.add_argument("--cache", default=None, help="factor cache file")
             for f in fields(EffortPolicy):
@@ -297,7 +277,7 @@ def build_parser() -> _Parser:
         return p
 
     p = command("search-pairs", _cmd_search_pairs,
-                "find equivalent tuple pairs by modulus range", formats=True)
+                "find equivalent tuple pairs by modulus range")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--min-k", type=int, default=3)
@@ -307,7 +287,8 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
 
     p = command("expand", _cmd_expand, "level census from a root",
-                formats=True, factors=True)
+                factors=True)
+    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--root", type=int, default=1)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--checkpoint", default=None)

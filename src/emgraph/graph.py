@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -34,7 +35,6 @@ class Node:
 
     root: int
     edge_primes: tuple[int, ...] = ()
-    complete: bool = True
 
     @property
     def level(self) -> int:
@@ -47,8 +47,8 @@ class Node:
             v *= p
         return v
 
-    def child(self, p: int, complete: bool = True) -> "Node":
-        return Node(self.root, self.edge_primes + (p,), complete)
+    def child(self, p: int) -> "Node":
+        return Node(self.root, self.edge_primes + (p,))
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,18 @@ class WatchList:
                                     sort_keys=True) + "\n")
 
 
-def expand_node(v: Node, policy: EffortPolicy = DEFAULT_POLICY,
-                cache: Optional[FactorCache] = None) -> tuple[Node, list[Node]]:
-    """Children of v, one per distinct known prime of value+1.
+def expand_node(value: int, policy: EffortPolicy = DEFAULT_POLICY,
+                cache: Optional[FactorCache] = None
+                ) -> tuple[bool, list[int]]:
+    """(complete, children) of a node value: one child value*p for each
+    distinct known prime p of value+1.
 
-    Returns the node itself (marked incomplete when the factorization
-    left a composite cofactor, so a grown cache can retry it) together
-    with the children discovered.
+    ``complete`` is False when the factorization left a composite
+    cofactor, whose primes are children still hidden; a grown cache can
+    retry it.
     """
-    fz = factor(v.value + 1, policy, cache)
-    marked = Node(v.root, v.edge_primes, fz.complete)
-    children = [marked.child(p, True) for p in fz.primes]
-    return marked, children
+    fz = factor(value + 1, policy, cache)
+    return fz.complete, [value * p for p in fz.primes]
 
 
 def _policy_fingerprint(policy: EffortPolicy) -> str:
@@ -122,9 +122,14 @@ def _policy_fingerprint(policy: EffortPolicy) -> str:
 
 
 def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
-                  nodes: Iterable[Node],
+                  values: Iterable[int],
                   summaries: Sequence[LevelSummary]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a census checkpoint: a JSON header line, then one frontier
+    value per line in decimal. The file is written beside ``path`` and
+    renamed over it, so a run killed mid-write keeps the last checkpoint
+    whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "level": level,
             "policy": _policy_fingerprint(policy),
@@ -132,29 +137,50 @@ def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
             "summaries": [[s.level, s.node_count, s.composite_count]
                           for s in summaries],
         }, sort_keys=True) + "\n")
-        for nd in nodes:
-            fh.write(json.dumps({
-                "root": str(nd.root),
-                "edges": [str(p) for p in nd.edge_primes],
-                "complete": nd.complete,
-            }, sort_keys=True) + "\n")
+        fh.writelines(f"{v}\n" for v in values)
+    os.replace(tmp, path)
+
+
+def _int_triple(row: object) -> bool:
+    return (isinstance(row, list) and len(row) == 3
+            and all(type(x) is int for x in row))
 
 
 def load_frontier(path: str) -> tuple[int, int, str, list[LevelSummary],
-                                      list[Node]]:
-    """(root, level, policy fingerprint, summaries, frontier) of a census
-    checkpoint; ValueError if a field is missing or malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+                                      list[int]]:
+    """(root, level, policy fingerprint, summaries, frontier values) of a
+    census checkpoint.
+
+    ValueError naming the file unless the header holds an integer triple
+    for each level 0 to ``level``, and the lines after it, each ended by
+    a newline, are as many values as the last triple counts: positive
+    integers in strictly increasing order.
+    """
     try:
-        header = lines[0]
-        nodes = [Node(int(obj["root"]), tuple(int(p) for p in obj["edges"]),
-                      bool(obj["complete"])) for obj in lines[1:]]
-        summaries = [LevelSummary(*row) for row in header["summaries"]]
-        return (int(header["root"]), int(header["level"]), header["policy"],
-                summaries, nodes)
-    except (IndexError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed census checkpoint") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            head, *lines, end = fh.read().split("\n")
+        if end:
+            raise ValueError("the last line is cut short")
+        header = json.loads(head)
+        level, rows = header["level"], header["summaries"]
+        if not (type(level) is int and all(map(_int_triple, rows))
+                and [row[0] for row in rows] == list(range(level + 1))):
+            raise ValueError("the summaries are not integer triples for "
+                             f"levels 0 to {level}")
+        summaries = [LevelSummary(*row) for row in rows]
+        values = [int(line) for line in lines]
+        if len(values) != summaries[-1].node_count:
+            raise ValueError(f"{len(values)} values, but level {level} "
+                             f"counts {summaries[-1].node_count}")
+        if values and values[0] < 1 or any(
+                a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("the values are not positive and strictly "
+                             "increasing")
+        return (json_int(header["root"], "root"), level, header["policy"],
+                summaries, values)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed census checkpoint: "
+                         f"{exc}") from exc
 
 
 def bfs_levels(root: int, max_level: int,
@@ -165,43 +191,41 @@ def bfs_levels(root: int, max_level: int,
 
     ``composite_count`` for level L counts the unfactored cofactors hit
     while expanding level L-1, i.e. the children still hidden at L. The
-    frontier and the summaries so far are checkpointed after each level
-    for resumption under the same policy and factoring ladder (a checkpoint
-    of another policy or ladder is ignored). A checkpoint already at or past
-    max_level answers from its summaries and is left as it is. A root below
-    1, a negative max_level or a checkpoint of another root raises
-    ValueError.
+    frontier values and the summaries so far are checkpointed after each
+    level for resumption under the same policy and factoring ladder (a
+    checkpoint of another policy or ladder is ignored). A checkpoint
+    already at or past max_level answers from its summaries and is left
+    as it is. A root below 1, a negative max_level, a malformed
+    checkpoint or one of another root raises ValueError.
     """
     if root < 1:
         raise ValueError("root must be >= 1")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    frontier = [Node(root)]
+    frontier = [root]
     level = 0
     summaries = [LevelSummary(0, 1, 0)]
     if checkpoint is not None:
         try:
-            saved_root, lv, fp, sums, nodes = load_frontier(checkpoint)
+            saved_root, lv, fp, sums, values = load_frontier(checkpoint)
             if saved_root != root:
                 raise ValueError(f"checkpoint {checkpoint} is a census from "
                                  f"root {saved_root}, not {root}")
             if fp == _policy_fingerprint(policy):
                 if lv >= max_level:
                     return sums[:max_level + 1]
-                level, summaries, frontier = lv, sums, nodes
+                level, summaries, frontier = lv, sums, values
         except FileNotFoundError:
             pass
 
     while level < max_level:
-        next_by_value: dict[int, Node] = {}
+        children: set[int] = set()
         blocked = 0
-        for nd in frontier:
-            marked, children = expand_node(nd, policy, cache)
-            if not marked.complete:
-                blocked += 1
-            for ch in children:
-                next_by_value.setdefault(ch.value, ch)
-        frontier = [next_by_value[v] for v in sorted(next_by_value)]
+        for v in frontier:
+            complete, found = expand_node(v, policy, cache)
+            blocked += not complete
+            children.update(found)
+        frontier = sorted(children)
         level += 1
         summaries.append(LevelSummary(level, len(frontier), blocked))
         if checkpoint is not None:

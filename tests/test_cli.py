@@ -79,8 +79,6 @@ def test_search_pairs_resume_after_kill(tmp_path):
     ck.write_text(f"65537 {count}\n")
     out.write_bytes(b"".join(lines[:count - 1]))
     assert cli.run(_search_argv(out, ck)) == 2
-    # a CSV table cannot be resumed
-    assert cli.run(_search_argv(out, ck) + ["--format", "csv"]) == 2
 
 
 def test_search_pairs_damaged_checkpoint(tmp_path):
@@ -124,6 +122,67 @@ def test_expand_shorter_census_keeps_deeper_checkpoint(tmp_path):
                              str(ck)])
     assert (code, out) == run_capture(["expand", "--max-level", "3"])
     assert ck.read_bytes() == deep
+
+
+@pytest.fixture(scope="module")
+def level8_checkpoint(tmp_path_factory):
+    ck = tmp_path_factory.mktemp("census") / "frontier.ck"
+    graph.bfs_levels(1, 8, checkpoint=str(ck))
+    return ck.read_text()
+
+
+def _edit_summaries(edit):
+    def corrupt(text):
+        head, rest = text.split("\n", 1)
+        obj = json.loads(head)
+        obj["summaries"] = edit(obj["summaries"])
+        return json.dumps(obj) + "\n" + rest
+    return corrupt
+
+
+def _edit_values(edit):
+    def corrupt(text):
+        head, *values, end = text.split("\n")
+        return "\n".join([head, *edit(values), end])
+    return corrupt
+
+
+# corrupt forms of a level-8 census checkpoint
+CORRUPT_CHECKPOINTS = {
+    "first-15-lines": lambda t: "".join(t.splitlines(True)[:15]),
+    "last-line-cut": lambda t: t[:-3],
+    "unterminated-line-after-values": lambda t: t + "99999999999999999",
+    "summaries-cut-to-three": _edit_summaries(lambda rows: rows[:3]),
+    "summaries-as-strings": _edit_summaries(
+        lambda rows: [[str(x) for x in row] for row in rows]),
+    "summary-counts-as-strings": _edit_summaries(
+        lambda rows: [[lv, str(n), str(c)] for lv, n, c in rows[:-1]]
+        + rows[-1:]),
+    "summary-not-a-triple": _edit_summaries(
+        lambda rows: rows[:-1] + [rows[-1][:2]]),
+    "summaries-out-of-order": _edit_summaries(
+        lambda rows: [rows[1], rows[0], *rows[2:]]),
+    "value-zero": _edit_values(lambda vs: ["0", *vs[1:]]),
+    "value-not-an-integer": _edit_values(lambda vs: ["x", *vs[1:]]),
+    "values-out-of-order": _edit_values(lambda vs: [vs[1], vs[0], *vs[2:]]),
+    "value-repeated": _edit_values(lambda vs: [vs[0], *vs[:-1]]),
+    "old-node-lines": _edit_values(lambda vs: [json.dumps(
+        {"complete": True, "edges": [], "root": "1"})] * len(vs)),
+}
+
+
+@pytest.mark.parametrize("form", CORRUPT_CHECKPOINTS)
+def test_expand_corrupt_checkpoint_exit_two(tmp_path, capsys,
+                                            level8_checkpoint, form):
+    ck = tmp_path / "frontier.ck"
+    ck.write_text(CORRUPT_CHECKPOINTS[form](level8_checkpoint))
+    before = ck.read_bytes()
+    assert before != level8_checkpoint.encode()
+    assert cli.run(["expand", "--max-level", "9", "--checkpoint",
+                    str(ck)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{ck}: malformed census checkpoint" in err
+    assert ck.read_bytes() == before
 
 
 def test_verify_theorem_exit_code():
@@ -398,6 +457,7 @@ _BASE_ARGV = {
                        "tables")
       for o in (["--cache", "x"], ["--format", "csv"])),
     ("sequence", ["--format", "csv"]),
+    ("search-pairs", ["--format", "csv"]),
 ])
 def test_option_a_command_does_not_read_is_a_usage_error(command, option,
                                                          capsys):

@@ -10,7 +10,8 @@ import pytest
 
 from emgraph import graph as gr
 from emgraph import tuples as tp
-from emgraph.arith import EffortPolicy, FactorCache, factor, sieve_primes
+from emgraph.arith import (EffortPolicy, FactorCache, factor, is_prime,
+                           sieve_primes)
 
 from table_data import (COPRIME_ROWS, LEAST_RULE_PREFIX,
                         LARGEST_RULE_PREFIX, TRIPLE_ROWS)
@@ -19,35 +20,29 @@ from table_data import (COPRIME_ROWS, LEAST_RULE_PREFIX,
 # node expansion -------------------------------------------------------------
 
 def test_expand_node_examples():
-    _, children = gr.expand_node(gr.Node(1))
-    assert [c.value for c in children] == [2]
-    assert children[0].edge_primes == (2,)
-
-    _, children = gr.expand_node(gr.Node(1, (2, 3, 7, 43)))  # value 1806
-    assert sorted(c.value for c in children) == [1806 * 13, 1806 * 139]
-
-    _, children = gr.expand_node(gr.Node(2))
-    assert [c.value for c in children] == [6]
+    assert gr.expand_node(1) == (True, [2])
+    complete, children = gr.expand_node(1806)  # 1807 = 13 * 139
+    assert complete and sorted(children) == [1806 * 13, 1806 * 139]
+    assert gr.expand_node(2) == (True, [6])
 
 
 def test_expand_node_partial_marks_incomplete():
-    # a cheap policy cannot split this, so the parent is flagged
-    hard_parent = gr.Node(2 ** 101 - 2)
+    # a cheap policy cannot split this, so the expansion is incomplete
     pol = EffortPolicy(trial_bound=10, rho_iterations=10, ecm_curves=0)
-    marked, children = gr.expand_node(hard_parent, pol)
-    assert not marked.complete
+    complete, _ = gr.expand_node(2 ** 101 - 2, pol)
+    assert not complete
 
 
 def test_expanded_edges_are_coprime_to_parent():
-    frontier = [gr.Node(1)]
+    frontier = [1]
     for _ in range(6):
         nxt = []
-        for nd in frontier:
-            _, children = gr.expand_node(nd)
+        for v in frontier:
+            _, children = gr.expand_node(v)
             for ch in children:
-                p = ch.edge_primes[-1]
-                assert math.gcd(p, nd.value) == 1
-                assert len(set(ch.edge_primes)) == len(ch.edge_primes)
+                p, rest = divmod(ch, v)
+                assert rest == 0 and is_prime(p)
+                assert math.gcd(p, v) == 1
             nxt.extend(children)
         frontier = nxt
 
@@ -111,6 +106,35 @@ def test_load_frontier_rejects_header_without_root(tmp_path):
         gr.bfs_levels(1, 4, checkpoint=str(ck))
 
 
+def test_census_checkpoint_is_header_then_one_value_per_line(tmp_path):
+    ck = tmp_path / "frontier.ck"
+    gr.bfs_levels(1, 6, checkpoint=str(ck))
+    head, *lines = ck.read_text().splitlines()
+    assert json.loads(head) == {
+        "level": 6, "policy": gr._policy_fingerprint(gr.DEFAULT_POLICY),
+        "root": "1",
+        "summaries": [[0, 1, 0], [1, 1, 0], [2, 1, 0], [3, 1, 0],
+                      [4, 1, 0], [5, 2, 0], [6, 4, 0]]}
+    # 1806 * 13 * {53, 443} and 1806 * 139 * {5, 50207}
+    assert lines == ["1244334", "1255170", "10400754", "12603664038"]
+    assert list(tmp_path.iterdir()) == [ck]  # written aside, then renamed
+
+
+def test_save_frontier_killed_mid_write_keeps_old_checkpoint(tmp_path):
+    ck = tmp_path / "frontier.ck"
+    summaries = gr.bfs_levels(1, 6, checkpoint=str(ck))
+    before = ck.read_bytes()
+
+    def values():
+        yield 1244334
+        raise RuntimeError("killed")
+
+    with pytest.raises(RuntimeError, match="killed"):
+        gr.save_frontier(str(ck), 1, 7, gr.DEFAULT_POLICY, values(),
+                         summaries)
+    assert ck.read_bytes() == before
+
+
 def test_bfs_levels_deterministic():
     assert gr.bfs_levels(1, 6) == gr.bfs_levels(1, 6)
 
@@ -118,14 +142,12 @@ def test_bfs_levels_deterministic():
 def test_bfs_levels_independent_of_expansion_order():
     # hand-rolled census expanding the frontier in reverse order: the
     # per-level value sets must agree
-    frontier = {1: gr.Node(1)}
+    frontier = {1}
     counts = [len(frontier)]
     for _ in range(7):
-        nxt = {}
-        for nd in sorted(frontier.values(), key=lambda n: -n.value):
-            _, children = gr.expand_node(nd)
-            for ch in children:
-                nxt.setdefault(ch.value, ch)
+        nxt = set()
+        for v in sorted(frontier, reverse=True):
+            nxt.update(gr.expand_node(v)[1])
         frontier = nxt
         counts.append(len(frontier))
     assert counts == [s.node_count for s in gr.bfs_levels(1, 7)]
@@ -346,11 +368,11 @@ def test_euclid_mullin_stops_when_effort_exhausted():
 
 def test_euclid_mullin_matches_leftmost_branch():
     terms = gr.euclid_mullin(1, 7)
-    node = gr.Node(1)
+    value = 1
     for expected in terms:
-        _, children = gr.expand_node(node)
-        node = min(children, key=lambda c: c.edge_primes[-1])
-        assert node.edge_primes[-1] == expected
+        _, children = gr.expand_node(value)
+        value, parent = min(children), value
+        assert value // parent == expected
 
 
 # unique chains --------------------------------------------------------------------
@@ -430,10 +452,10 @@ def test_expansion_uses_injected_factorization(tmp_path):
     blocked = 2 ** 101 - 2
     pol = EffortPolicy(trial_bound=10, rho_iterations=10, ecm_curves=0)
     cache = FactorCache(path)
-    marked, _ = gr.expand_node(gr.Node(blocked), pol, cache)
-    assert not marked.complete
+    complete, _ = gr.expand_node(blocked, pol, cache)
+    assert not complete
     cache.add(blocked + 1, [7432339208719])
-    marked, children = gr.expand_node(gr.Node(blocked), pol, cache)
-    assert marked.complete
-    assert {c.edge_primes[-1] for c in children} == \
+    complete, children = gr.expand_node(blocked, pol, cache)
+    assert complete
+    assert {c // blocked for c in children} == \
         {7432339208719, 341117531003194129}
