@@ -277,8 +277,12 @@ class FactorCache:
             if self.path is not None:
                 line = "%d=%s\n" % (
                     composite, ",".join(str(f) for f in sorted(set(factors))))
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line)
+                with open(self.path, "a+b") as fh:
+                    # never run on from a last line left unterminated
+                    fh.seek(max(fh.tell() - 1, 0))
+                    if fh.read(1) not in (b"", b"\n"):
+                        line = "\n" + line
+                    fh.write(line.encode())
 
     def __len__(self) -> int:
         return len(self._known)
@@ -306,18 +310,23 @@ def _prime_flags(lo: int, hi: int) -> bytearray:
 @functools.lru_cache(maxsize=4)
 def _primorial(bound: int) -> tuple[int, tuple[int, ...]]:
     """The product of the primes <= bound, and those primes."""
-    ps = tuple(sieve_primes(bound))
-    return math.prod(ps), ps
+    ps = sieve_primes(bound)
+    return math.prod(_product_tree(ps)[-1]), tuple(ps)
 
 
-def _remainders(m: int, xs: list[int]) -> list[int]:
-    """m mod x for every x of xs, carried down a product tree of xs."""
+def _product_tree(xs: list[int]) -> list[list[int]]:
+    """The levels of the product tree of xs, from the leaves to the root."""
     tree = [xs]
     while len(tree[-1]) > 1:
         lv = tree[-1]
         tree.append([math.prod(lv[i:i + 2]) for i in range(0, len(lv), 2)])
+    return tree
+
+
+def _remainders(m: int, xs: list[int]) -> list[int]:
+    """m mod x for every x of xs, carried down a product tree of xs."""
     rs = [m]
-    for lv in reversed(tree):
+    for lv in reversed(_product_tree(xs)):
         rs = [rs[i >> 1] % x for i, x in enumerate(lv)]
     return rs
 

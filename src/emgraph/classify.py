@@ -1,4 +1,4 @@
-"""Closed-form classification and generation of loop tuples.
+"""Closed-form classification of loop tuples, and block embedding.
 
 Triples with two orderings of the same residue class satisfy a pair of
 congruences that reduce to the integer system
@@ -8,8 +8,9 @@ congruences that reduce to the integer system
 whose solutions are generated exactly by four parametric families built
 from Fibonacci polynomials. Quadruples fall into four congruence cases.
 Larger tuples arise by grouping primes into blocks and lifting a block
-level equivalence, which is also how the two stock polynomial families
-f(x) and g(x) produce irreducible pairs of unbounded length.
+level equivalence (``embed``), which is also how the two stock
+polynomial families f(x) and g(x) of ``modsearch`` produce irreducible
+pairs of unbounded length.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
-from typing import Iterator, Optional, Sequence
+from math import prod
+from typing import Optional, Sequence
 
 from .arith import DEFAULT_POLICY, EffortPolicy, NotSquarefree, factor, is_prime
-from .tuples import PairRecord, Permutation, PrimeTuple, make_pair
+from .tuples import Permutation, PrimeTuple
 
 
 class BlockCongruenceFailed(ValueError):
@@ -314,17 +315,6 @@ def classify_integer_triple(p1: int, p2: int, p3: int
     return w, seen
 
 
-def generate_prime_triples(x_max: int) -> Iterator[PairRecord]:
-    """Prime outputs of the cubic-family triple for x = 1..x_max.
-
-    Each hit is emitted as the irreducible pair formed with its reversal.
-    """
-    for x in range(1, x_max + 1):
-        t = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
-        if all(is_prime(v) for v in t):
-            yield make_pair(t, tuple(reversed(t)), kind="triple")
-
-
 def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
     """Lift a block-level equivalence to the full prime tuple.
 
@@ -356,56 +346,3 @@ def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
 
     partner = tuple(p for i in pi.inverse().images for p in orderings[i])
     return PrimeTuple(tuple(flat)), PrimeTuple(partner)
-
-
-def _kind_for(P: Sequence[int], Q: Sequence[int]) -> str:
-    k = len(P)
-    if k == 3:
-        return "triple"
-    if k == 4:
-        tag = quadruple_case_of_pair(P, Q)
-        if tag is not None:
-            return f"quadruple-case-{tag}"
-    return "general"
-
-
-def _swap_ends(k: int) -> Permutation:
-    return Permutation.transposition(k, 0, k - 1)
-
-
-def manypairs_generator(q: int, x_max: int, mode: str = "A",
-                        policy: EffortPolicy = DEFAULT_POLICY,
-                        ) -> Iterator[PairRecord]:
-    """Irreducible pairs from the stock polynomial families.
-
-    Mode A walks f(x) = (x^2+x+1)(x^2+1)(x^3+x^2+2x+1), keeping x with
-    f(x) squarefree and coprime to q. Mode B walks g(x) = x(x^2-x+1)(x^2+1),
-    keeping x with gcd(g(x), q^2) = q and g(x)/q squarefree, so every
-    emitted modulus is divisible by q.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if mode not in ("A", "B"):
-        raise ValueError("mode must be 'A' or 'B'")
-    for x in range(1, x_max + 1):
-        if mode == "A":
-            blocks = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
-            value = prod(blocks)
-            if gcd(value, q) != 1:
-                continue
-        else:
-            blocks = (x, x * x - x + 1, x * x + 1)
-            value = prod(blocks)
-            if gcd(value, q * q) != q:
-                continue
-        if any(b <= 1 for b in blocks):
-            continue
-        try:
-            bt = BlockTuple.from_blocks(blocks, policy)
-            P, Q = embed(bt, _swap_ends(3))
-        except (NotSquarefree, ValueError):
-            continue
-        rec = make_pair(P.primes, Q.primes, kind=_kind_for(P.primes, Q.primes))
-        if not rec.irreducible:
-            continue
-        yield rec

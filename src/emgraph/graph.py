@@ -11,6 +11,7 @@ heuristic growth model for node sizes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -125,9 +126,10 @@ def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
                   values: Iterable[int],
                   summaries: Sequence[LevelSummary]) -> None:
     """Write a census checkpoint: a JSON header line, then one frontier
-    value per line in decimal. The file is written beside ``path`` and
-    renamed over it, so a run killed mid-write keeps the last checkpoint
-    whole."""
+    value per line in decimal. The header carries the sha256 of the value
+    lines. The file is written beside ``path`` and renamed over it, so a
+    run killed mid-write keeps the last checkpoint whole."""
+    body = "".join(f"{v}\n" for v in values)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
@@ -136,8 +138,9 @@ def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
             "root": str(root),
             "summaries": [[s.level, s.node_count, s.composite_count]
                           for s in summaries],
+            "values_sha256": hashlib.sha256(body.encode()).hexdigest(),
         }, sort_keys=True) + "\n")
-        fh.writelines(f"{v}\n" for v in values)
+        fh.write(body)
     os.replace(tmp, path)
 
 
@@ -154,11 +157,13 @@ def load_frontier(path: str) -> tuple[int, int, str, list[LevelSummary],
     ValueError naming the file unless the header holds an integer triple
     for each level 0 to ``level``, and the lines after it, each ended by
     a newline, are as many values as the last triple counts: positive
-    integers in strictly increasing order.
+    integers in strictly increasing order, whose lines have the sha256
+    that the header gives.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head, *lines, end = fh.read().split("\n")
+            text = fh.read()
+        head, *lines, end = text.split("\n")
         if end:
             raise ValueError("the last line is cut short")
         header = json.loads(head)
@@ -176,6 +181,9 @@ def load_frontier(path: str) -> tuple[int, int, str, list[LevelSummary],
                 a >= b for a, b in zip(values, values[1:])):
             raise ValueError("the values are not positive and strictly "
                              "increasing")
+        if header["values_sha256"] != hashlib.sha256(
+                text[len(head) + 1:].encode()).hexdigest():
+            raise ValueError("the value lines do not match values_sha256")
         return (json_int(header["root"], "root"), level, header["policy"],
                 summaries, values)
     except (IndexError, KeyError, TypeError, ValueError) as exc:
@@ -380,8 +388,10 @@ def euclid_mullin(n: int, steps: int, policy: EffortPolicy = DEFAULT_POLICY,
     Stops early with a partial list when the factoring effort cannot
     certify the requested prime: the least factor is still certain when
     the smallest known prime is within the trial bound, while the largest
-    requires a complete factorization.
+    requires a complete factorization. A start below 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError("start must be >= 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if rule not in ("least", "largest"):

@@ -37,7 +37,9 @@ take about 40 MB and 0.55 GB in either mode, as primes that small
 prune little.
 
 A permutation-enumeration oracle is provided for cross-checking, plus a
-density report for the expected spacing of loop bases.
+density report for the expected spacing of loop bases. The pairs of the
+cubic triple family and of the two stock polynomial families come from
+here too, so every pair record is built by ``_records_for``.
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence, Union
 
-from .arith import Factorization, NotSquarefree, squarefree_stream
-from .classify import quadruple_case_of_pair
-from .tuples import (PairRecord, PrimeTuple, ResidueClass,
-                     _share_proper_prefix, residue_base)
+from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
+                    NotSquarefree, is_prime, squarefree_stream)
+from .classify import BlockTuple, embed, quadruple_case_of_pair
+from .tuples import (PairRecord, Permutation, PrimeTuple, ResidueClass,
+                     _share_proper_prefix, is_irreducible_pair, residue_base)
 
 
 class IncompleteFactorization(ValueError):
@@ -278,22 +282,57 @@ def brute_force_pairs(m: int, fz: Factorization,
         groups.setdefault(residue_base(perm), []).append(perm)
     pairs = []
     for members in groups.values():
-        if len(members) < 2:
-            continue
         for P, Q in itertools.combinations(sorted(members), 2):
-            if irreducible_only:
-                pp = qq = 1
-                bad = False
-                for i in range(len(P) - 1):
-                    pp *= P[i]
-                    qq *= Q[i]
-                    if pp == qq:
-                        bad = True
-                        break
-                if bad:
-                    continue
-            pairs.append((P, Q))
+            if not (irreducible_only and _share_proper_prefix(P, Q)):
+                pairs.append((P, Q))
     return _records_for(m, sorted(pairs))
+
+
+def generate_prime_triples(x_max: int) -> Iterator[PairRecord]:
+    """Prime outputs of the cubic-family triple for x = 1..x_max.
+
+    Each hit is emitted as the irreducible pair formed with its reversal.
+    """
+    for x in range(1, x_max + 1):
+        t = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
+        if all(is_prime(v) for v in t):
+            yield from _records_for(prod(t), [(t, t[::-1])])
+
+
+def manypairs_generator(q: int, x_max: int, mode: str = "A",
+                        policy: EffortPolicy = DEFAULT_POLICY,
+                        ) -> Iterator[PairRecord]:
+    """Irreducible pairs from the stock polynomial families.
+
+    Mode A walks f(x) = (x^2+x+1)(x^2+1)(x^3+x^2+2x+1), keeping x with
+    f(x) squarefree and coprime to q. Mode B walks g(x) = x(x^2-x+1)(x^2+1),
+    keeping x with gcd(g(x), q^2) = q and g(x)/q squarefree, so every
+    emitted modulus is divisible by q.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if mode not in ("A", "B"):
+        raise ValueError("mode must be 'A' or 'B'")
+    swap_ends = Permutation.transposition(3, 0, 2)
+    for x in range(1, x_max + 1):
+        if mode == "A":
+            blocks = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
+            value = prod(blocks)
+            if gcd(value, q) != 1:
+                continue
+        else:
+            blocks = (x, x * x - x + 1, x * x + 1)
+            value = prod(blocks)
+            if gcd(value, q * q) != q:
+                continue
+        if any(b <= 1 for b in blocks):
+            continue
+        try:
+            P, Q = embed(BlockTuple.from_blocks(blocks, policy), swap_ends)
+        except (NotSquarefree, ValueError):
+            continue
+        if is_irreducible_pair(P, Q):
+            yield from _records_for(value, [(P.primes, Q.primes)])
 
 
 def density_report(records: Sequence[PairRecord]) -> DensityReport:

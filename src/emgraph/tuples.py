@@ -219,7 +219,7 @@ class PairRecord:
     """An unordered equivalent pair of orderings, canonically arranged.
 
     ``residues`` lists the residue class shared by the two sides; ``kind``
-    tags the structural family (triple, quadruple-case-I..IV, general).
+    tags the structural family (triple, quadruple case I to IV, general).
     """
 
     p: PrimeTuple
@@ -295,8 +295,3 @@ class PairRecord:
     def from_json_line(line: str) -> "PairRecord":
         return PairRecord.from_json_obj(json.loads(line))
 
-
-def make_pair(P: TupleLike, Q: TupleLike, kind: str = "general") -> PairRecord:
-    """Build the canonical record for an unordered pair of orderings."""
-    return PairRecord(PrimeTuple(_entries(P)), PrimeTuple(_entries(Q)),
-                      kind=kind)

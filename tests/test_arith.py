@@ -168,6 +168,17 @@ def test_factor_strips_table_primes_below_any_bound(bound):
     assert fz.primes == (11, 13, 197, 1000000007)
 
 
+def test_factor_cache_appends_after_unterminated_last_line(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("35=5,7")
+    arith.factor(2 ** 67 - 1, cache=arith.FactorCache(str(path)))
+    assert path.read_text() == (
+        "35=5,7\n147573952589676412927=193707721,761838257287\n")
+    reloaded = arith.FactorCache(str(path))
+    assert reloaded.lookup(35) == [5, 7]
+    assert reloaded.lookup(2 ** 67 - 1) == [193707721, 761838257287]
+
+
 def test_factor_cache_rejects_malformed_line(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("15=3,5\n\n91 7,13\n")
@@ -247,6 +258,12 @@ def test_small_prime_factors_above_the_product():
         assert x.bit_length() > arith._primorial(10_000)[0].bit_length()
         assert (arith.small_prime_factors(x, 10_000)
                 == small_primes_oracle(x, 10_000))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 139, 1000])
+def test_primorial_is_product_of_primes(bound):
+    primes = arith.sieve_primes(bound)
+    assert arith._primorial(bound) == (math.prod(primes), tuple(primes))
 
 
 @pytest.mark.parametrize("bound", [2, 5, 139, 1000])

@@ -171,18 +171,6 @@ def test_classify_box_completeness_small():
                 assert res is not None and res[1], (p1, p2, p3)
 
 
-# generation ---------------------------------------------------------------
-
-def test_generate_prime_triples():
-    recs = list(cf.generate_prime_triples(2))
-    assert sorted(r.modulus for r in recs) == [30, 595]
-    recs = list(cf.generate_prime_triples(14))
-    assert any(r.p.primes == (211, 197, 2969) for r in recs)
-    assert list(cf.generate_prime_triples(0)) == []
-    for r in recs:
-        assert r.kind == "triple" and r.irreducible
-
-
 # block embedding -----------------------------------------------------------
 
 def test_embed_examples():
@@ -241,15 +229,3 @@ def test_embed_property_on_family(x, data):
     # distinct block prefix products here, so always irreducible
     assert tp.is_irreducible_pair(P.primes, Q.primes)
 
-
-def test_manypairs_modes():
-    recs = list(cf.manypairs_generator(1, 2, "A"))
-    assert any(r.modulus == 595 for r in recs)
-    assert all(r.modulus != 595 for r in cf.manypairs_generator(595, 2, "A"))
-    assert any(r.modulus == 30 for r in cf.manypairs_generator(2, 2, "B"))
-    for r in cf.manypairs_generator(1, 25, "A"):
-        assert r.irreducible
-        assert tp.equivalent(r.p.primes, r.q.primes)
-    for r in cf.manypairs_generator(6, 25, "B"):
-        assert r.irreducible
-        assert r.modulus % 6 == 0

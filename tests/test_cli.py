@@ -168,6 +168,8 @@ CORRUPT_CHECKPOINTS = {
     "value-repeated": _edit_values(lambda vs: [vs[0], *vs[:-1]]),
     "old-node-lines": _edit_values(lambda vs: [json.dumps(
         {"complete": True, "edges": [], "root": "1"})] * len(vs)),
+    "value-raised-by-one": _edit_values(
+        lambda vs: [str(int(vs[0]) + 1), *vs[1:]]),
 }
 
 
@@ -225,6 +227,14 @@ def test_sequence_least_and_largest():
     code, out = run_capture(["sequence", "--rule", "largest", "--steps", "6"])
     assert code == 0
     assert out.split() == ["2", "3", "7", "43", "139", "50207"]
+
+
+@pytest.mark.parametrize("start", ["0", "-5"])
+def test_sequence_start_below_one_exit_two(capsys, start):
+    # 0 + 1 has no prime factor: a usage error, not exhausted effort
+    assert cli.run(["sequence", "--steps", "3", "--start", start]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "start must be >= 1" in err
 
 
 def test_explore_with_watch(tmp_path):

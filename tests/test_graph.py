@@ -114,7 +114,9 @@ def test_census_checkpoint_is_header_then_one_value_per_line(tmp_path):
         "level": 6, "policy": gr._policy_fingerprint(gr.DEFAULT_POLICY),
         "root": "1",
         "summaries": [[0, 1, 0], [1, 1, 0], [2, 1, 0], [3, 1, 0],
-                      [4, 1, 0], [5, 2, 0], [6, 4, 0]]}
+                      [4, 1, 0], [5, 2, 0], [6, 4, 0]],
+        "values_sha256": hashlib.sha256(
+            "".join(v + "\n" for v in lines).encode()).hexdigest()}
     # 1806 * 13 * {53, 443} and 1806 * 139 * {5, 50207}
     assert lines == ["1244334", "1255170", "10400754", "12603664038"]
     assert list(tmp_path.iterdir()) == [ck]  # written aside, then renamed

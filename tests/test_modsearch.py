@@ -227,6 +227,46 @@ def test_collision_masks_match_definition():
                 any(s & used == used for s in collides)
 
 
+# polynomial families -------------------------------------------------------
+
+def test_generate_prime_triples():
+    recs = list(ms.generate_prime_triples(2))
+    assert sorted(r.modulus for r in recs) == [30, 595]
+    recs = list(ms.generate_prime_triples(14))
+    assert any(r.p.primes == (211, 197, 2969) for r in recs)
+    assert list(ms.generate_prime_triples(0)) == []
+    for r in recs:
+        assert r.kind == "triple" and r.irreducible
+
+
+def test_manypairs_modes():
+    recs = list(ms.manypairs_generator(1, 2, "A"))
+    assert any(r.modulus == 595 for r in recs)
+    assert all(r.modulus != 595 for r in ms.manypairs_generator(595, 2, "A"))
+    assert any(r.modulus == 30 for r in ms.manypairs_generator(2, 2, "B"))
+    for r in ms.manypairs_generator(1, 25, "A"):
+        assert r.irreducible
+        assert tp.equivalent(r.p.primes, r.q.primes)
+    for r in ms.manypairs_generator(6, 25, "B"):
+        assert r.irreducible
+        assert r.modulus % 6 == 0
+
+
+# cubic triples, then f(x) and g(x) for each q and mode, up to x = 150
+FAMILY_RUNS = [(1, "A"), (595, "A"), (7, "A"), (2, "B"), (6, "B"), (30, "B")]
+
+
+def test_family_records_pinned():
+    lines = [r.to_json_line() + "\n" for r in ms.generate_prime_triples(3000)]
+    assert len(lines) == 11
+    for q, mode in FAMILY_RUNS:
+        lines += [r.to_json_line() + "\n"
+                  for r in ms.manypairs_generator(q, 150, mode)]
+    assert len(lines) == 368
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "7735f295e3602162356a1dae68dc17b3e16fc301392845f386bf29e870e6458b")
+
+
 # density -------------------------------------------------------------------
 
 def test_density_examples():

@@ -171,7 +171,8 @@ def test_is_irreducible_pair_symmetric():
 # records ----------------------------------------------------------------
 
 def test_pair_record_canonical_and_roundtrip():
-    r = tp.make_pair((5, 3, 2), (2, 3, 5), kind="triple")
+    r = tp.PairRecord(tp.PrimeTuple((5, 3, 2)), tp.PrimeTuple((2, 3, 5)),
+                     kind="triple")
     assert r.p.primes == (2, 3, 5) and r.q.primes == (5, 3, 2)
     assert r.modulus == 30 and r.residues[0].a == 19
     again = tp.PairRecord.from_json_line(r.to_json_line())
@@ -183,7 +184,7 @@ def test_pair_record_large_values_roundtrip():
     primes, m, residues, case = QUADRUPLE_ROWS[-1]
     a, b, c, d = primes
     assert case == "II"  # whose class pairs (a, b, c, d) with (d, c, a, b)
-    r = tp.make_pair(primes, (d, c, a, b))
+    r = tp.PairRecord(tp.PrimeTuple(primes), tp.PrimeTuple((d, c, a, b)))
     again = tp.PairRecord.from_json_line(r.to_json_line())
     assert again.modulus == m == r.modulus
 
@@ -195,7 +196,8 @@ def test_pair_record_large_values_roundtrip():
     ("q", ["2", "3", "5"]),  # p paired with itself
 ])
 def test_pair_record_rejects_inconsistent_record(field, value):
-    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
+                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
     tp.PairRecord.from_json_obj(obj)
     obj[field] = value
     with pytest.raises(ValueError):
@@ -209,7 +211,8 @@ def test_pair_record_rejects_inconsistent_record(field, value):
     ("residues", [None]), ("kind", 5), ("kind", None), ("kind", ["triple"]),
 ])
 def test_pair_record_rejects_wrong_type(field, value):
-    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
+                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
     obj[field] = value
     with pytest.raises(ValueError, match=repr(field)):
         tp.PairRecord.from_json_obj(obj)
@@ -223,7 +226,8 @@ def test_pair_record_rejects_non_object(obj):
 
 @pytest.mark.parametrize("key", ["p", "q", "modulus", "residues"])
 def test_pair_record_rejects_missing_field(key):
-    obj = tp.make_pair((2, 3, 5), (5, 3, 2)).to_json_obj()
+    obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
+                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
     del obj[key]
     with pytest.raises(ValueError, match=f"no '{key}'"):
         tp.PairRecord.from_json_obj(obj)
@@ -231,8 +235,8 @@ def test_pair_record_rejects_missing_field(key):
 
 def test_pair_record_accepts_json_integers():
     obj = {"p": [2, 3, 5], "q": [5, 3, 2], "modulus": 30, "residues": [19]}
-    assert tp.PairRecord.from_json_obj(obj) == tp.make_pair((2, 3, 5),
-                                                             (5, 3, 2))
+    assert tp.PairRecord.from_json_obj(obj) == tp.PairRecord(
+        tp.PrimeTuple((2, 3, 5)), tp.PrimeTuple((5, 3, 2)))
 
 
 def test_prime_tuple_validation():
