@@ -580,7 +580,8 @@ _ECM_RAMP = ((25, 2_000), (90, 11_000))
 
 # Raised whenever the same policy fields come to run a different ladder.
 # Census checkpoints record it with the policy, so one saved under another
-# ladder, whose blocked counts this one need not reproduce, is not resumed.
+# ladder, whose blocked counts this one need not reproduce, is refused
+# rather than resumed or overwritten: delete it to start again.
 LADDER_VERSION = 2
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Optional, Sequence
 
@@ -227,92 +226,40 @@ def parametric_triple(p: ParametricLine
     return t, w
 
 
-# Families whose entries are at most linear in x get solved directly, so
-# classification never scans a long x range: lines 3 and 4, where n plays
-# no part, and the members (line, n) of lines 1 and 2 listed here.
-_LINEAR_FAMILIES = (
-    (3, 0), (4, 0),
-    (1, 0), (1, 1), (1, -1),
-    (2, 0), (2, 1), (2, -1), (2, -2),
-)
-
-
-def _linear_matches(t: tuple[int, int, int]) -> list[ParametricLine]:
-    out = []
-    for delta in (1, -1):
-        u = (t[0] * delta, t[1] * delta, t[2] * delta)
-        for line, n in _LINEAR_FAMILIES:
-            probe = _evaluate_line(line, n, 0, 1)
-            grad = tuple(b - a for a, b in
-                         zip(probe, _evaluate_line(line, n, 1, 1)))
-            # solve probe + x*grad == u
-            x = None
-            ok = True
-            for base, g, target in zip(probe, grad, u):
-                if g == 0:
-                    ok = ok and base == target
-                else:
-                    if (target - base) % g:
-                        ok = False
-                    else:
-                        xi = (target - base) // g
-                        ok = ok and (x is None or x == xi)
-                        x = xi
-            if ok and x is not None:
-                out.append(ParametricLine(line, n, x, delta))
-    return out
-
-
-@lru_cache(maxsize=8)
-def _scan_table(bound: int) -> dict[tuple[int, int, int],
-                                    tuple[ParametricLine, ...]]:
-    """All nonlinear-family outputs with every entry in [-bound, bound]."""
-    table: dict[tuple[int, int, int], list[ParametricLine]] = {}
-    for line in (1, 2):
-        n_abs = 2
-        while fib_poly(n_abs, 1) <= bound:
-            for n in {n_abs, -n_abs}:
-                if (line, n) in _LINEAR_FAMILIES:
-                    continue
-                x = 1
-                while True:
-                    hit = False
-                    for sx in (x, -x):
-                        for delta in (1, -1):
-                            t = _evaluate_line(line, n, sx, delta)
-                            if max(abs(v) for v in t) <= bound:
-                                hit = True
-                                table.setdefault(t, []).append(
-                                    ParametricLine(line, n, sx, delta))
-                    if not hit:
-                        # entry magnitudes grow with |x| here, so done
-                        break
-                    x += 1
-            n_abs += 1
-    return {k: tuple(v) for k, v in table.items()}
-
-
 def classify_integer_triple(p1: int, p2: int, p3: int
                             ) -> Optional[tuple[TripleWitness,
                                                 list[ParametricLine]]]:
     """Witness and parametric representations of an integer triple.
 
     Returns None when the triple system has no integer multipliers;
-    otherwise the witness together with every representation found by
-    direct solution of the linear families plus a bounded scan of the
-    growing ones.
+    otherwise the witness together with every representation, solved
+    from the witness. Lines 3 and 4 are delta*(1, x, 1) and
+    delta*(x, 1, 1 - x), so the entries give x. On lines 1 and 2 the
+    identity F_{n+1} - F_{n-1} = x*F_n makes q = +-x on line 1 and
+    r = +-x on line 2, so the witness gives x. For x != 0, line 1's
+    middle entry and line 2's first entry are +-F_n(x), and
+    |F_n(x)| >= F_|n|(1), so no representation has |n| above the
+    largest N with F_N(1) <= max(|p1|, |p2|, |p3|, 1). (At x = 0, line 1
+    gives +-(1, 1, 1) for every odd n; only n = +-1 are listed there.)
     """
     w = _witness_of(p1, p2, p3)
     if w is None:
         return None
-    t = (p1, p2, p3)
     bound = max(abs(p1), abs(p2), abs(p3), 1)
-    lines = _linear_matches(t) + list(_scan_table(bound).get(t, ()))
-    seen = []
-    for ln in lines:
-        if ln not in seen:
-            seen.append(ln)
-    return w, seen
+    n_max = 2
+    while fib_poly(n_max + 1, 1) <= bound:
+        n_max += 1
+    candidates = [ParametricLine(line, n, x, delta)
+                  for line, wx in ((1, w.q), (2, w.r))
+                  for x in dict.fromkeys((wx, -wx))
+                  for delta in (1, -1)
+                  for n in range(-n_max, n_max + 1)]
+    for delta in (1, -1):
+        candidates += [ParametricLine(3, 0, delta * p2, delta),
+                       ParametricLine(4, 0, delta * p1, delta)]
+    return w, [ln for ln in candidates
+               if _evaluate_line(ln.line, ln.n, ln.x, ln.delta)
+               == (p1, p2, p3)]
 
 
 def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:

@@ -245,7 +245,16 @@ def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
             if not line.strip():
                 continue
             try:
-                records.append(PairRecord.from_json_line(line))
+                rec = PairRecord.from_json_line(line)
+                # the records layer derives kind and residue; PairRecord
+                # cannot check the kind, as classify imports tuples
+                built = modsearch._records_for(
+                    rec.modulus, [(rec.p.primes, rec.q.primes)])
+                if [rec] != built:
+                    raise ValueError("the search writes this pair with kind "
+                                     f"{built[0].kind!r} and the one "
+                                     f"residue {built[0].residues[0].a}")
+                records.append(rec)
             except ValueError as exc:
                 raise ValueError(f"{args.records or '<stdin>'}:{lineno}: "
                                  f"bad pair record: {exc}") from None

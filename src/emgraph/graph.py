@@ -77,9 +77,9 @@ class WatchList:
     def load(path: str) -> "WatchList":
         """Read one JSON object per line, its residue ``a`` and modulus
         ``m`` integers or decimal strings. A line that is not such an
-        object, or not an invertible reduced class, raises ValueError
-        naming the file and line."""
-        classes = []
+        object, or not an invertible reduced class, or a class listed
+        on an earlier line, raises ValueError naming the file and line."""
+        classes: dict[ResidueClass, int] = {}  # class -> its line
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -90,7 +90,11 @@ class WatchList:
                     if not isinstance(obj, dict):
                         raise ValueError("not a JSON object")
                     a, m = (_watch_int(obj, key) for key in ("a", "m"))
-                    classes.append(ResidueClass(a, m))
+                    rc = ResidueClass(a, m)
+                    if rc in classes:
+                        raise ValueError("repeats the class on line "
+                                         f"{classes[rc]}")
+                    classes[rc] = lineno
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad watch line "
                                      f"{line!r}: {exc}") from None
@@ -200,11 +204,12 @@ def bfs_levels(root: int, max_level: int,
     ``composite_count`` for level L counts the unfactored cofactors hit
     while expanding level L-1, i.e. the children still hidden at L. The
     frontier values and the summaries so far are checkpointed after each
-    level for resumption under the same policy and factoring ladder (a
-    checkpoint of another policy or ladder is ignored). A checkpoint
-    already at or past max_level answers from its summaries and is left
-    as it is. A root below 1, a negative max_level, a malformed
-    checkpoint or one of another root raises ValueError.
+    level for resumption from the same root under the same policy and
+    factoring ladder. A checkpoint already at or past max_level answers
+    from its summaries and is left as it is. A root below 1, a negative
+    max_level, a malformed checkpoint, or one of another root, policy or
+    ladder raises ValueError and leaves the file as it is: delete it to
+    start again.
     """
     if root < 1:
         raise ValueError("root must be >= 1")
@@ -216,15 +221,18 @@ def bfs_levels(root: int, max_level: int,
     if checkpoint is not None:
         try:
             saved_root, lv, fp, sums, values = load_frontier(checkpoint)
-            if saved_root != root:
-                raise ValueError(f"checkpoint {checkpoint} is a census from "
-                                 f"root {saved_root}, not {root}")
-            if fp == _policy_fingerprint(policy):
-                if lv >= max_level:
-                    return sums[:max_level + 1]
-                level, summaries, frontier = lv, sums, values
         except FileNotFoundError:
             pass
+        else:
+            want = _policy_fingerprint(policy)
+            if (saved_root, fp) != (root, want):
+                raise ValueError(
+                    f"checkpoint {checkpoint} is a census from root "
+                    f"{saved_root} under policy {fp}, not root {root} under "
+                    f"policy {want}: delete it to start again")
+            if lv >= max_level:
+                return sums[:max_level + 1]
+            level, summaries, frontier = lv, sums, values
 
     while level < max_level:
         children: set[int] = set()

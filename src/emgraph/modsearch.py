@@ -56,7 +56,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
                     NotSquarefree, is_prime, squarefree_stream)
-from .classify import BlockTuple, embed, quadruple_case_of_pair
+from .classify import (BlockCongruenceFailed, BlockTuple, embed,
+                       quadruple_case_of_pair)
 from .tuples import (PairRecord, Permutation, PrimeTuple, ResidueClass,
                      _share_proper_prefix, is_irreducible_pair, residue_base)
 
@@ -329,7 +330,7 @@ def manypairs_generator(q: int, x_max: int, mode: str = "A",
             continue
         try:
             P, Q = embed(BlockTuple.from_blocks(blocks, policy), swap_ends)
-        except (NotSquarefree, ValueError):
+        except (NotSquarefree, BlockCongruenceFailed):
             continue
         if is_irreducible_pair(P, Q):
             yield from _records_for(value, [(P.primes, Q.primes)])

@@ -139,23 +139,59 @@ def test_parametric_always_satisfies_system():
                     assert p2 * (p1 + p3) == 1 + w.r * p1 * p3
 
 
+def reps(res):
+    return {(ln.line, ln.n, ln.x, ln.delta) for ln in res[1]}
+
+
 def test_classify_examples():
     w, lines = cf.classify_integer_triple(2, 3, 5)
     assert (w.q, w.r) == (1, 2) and lines
     for ln in lines:
         assert cf.parametric_triple(ln)[0] == (2, 3, 5)
-    w, lines = cf.classify_integer_triple(1, 7, 1)
-    assert any(ln.line == 3 for ln in lines)
+    assert reps(cf.classify_integer_triple(1, 7, 1)) == {(3, 0, 7, 1)}
     assert cf.classify_integer_triple(4, 9, 25) is None
+
+
+# every representation, as (line, n, x, delta), of each TRIPLE_ROWS entry
+TRIPLE_ROW_REPS = {
+    (2, 3, 5): {(2, 2, 2, 1)},
+    (3, 2, 5): {(1, 3, 1, 1), (2, 4, 1, 1)},
+    (7, 5, 17): {(1, 3, 2, 1)},
+    (211, 197, 2969): {(1, 3, 14, 1)},
+    (601, 577, 14449): {(1, 3, 24, 1)},
+    (8191, 8101, 737281): {(1, 3, 90, 1)},
+    (22921, 21169, 276949): {(1, 5, 12, 1)},
+}
 
 
 @pytest.mark.parametrize("row", TRIPLE_ROWS)
 def test_classify_recovers_triple_rows(row):
     primes, _, _ = row
     res = cf.classify_integer_triple(*primes)
-    assert res is not None and res[1]
+    assert res is not None and reps(res) == TRIPLE_ROW_REPS[primes]
     for ln in res[1]:
         assert cf.parametric_triple(ln)[0] == primes
+
+
+def test_classify_finds_every_enumerated_representation():
+    # x = 0 is left out: line 1 gives +-(1, 1, 1) there for every odd n
+    enumerated = {}
+    for line in (1, 2, 3, 4):
+        for n in (range(-6, 7) if line <= 2 else (0,)):
+            for x in [v for v in range(-12, 13) if v]:
+                for delta in (1, -1):
+                    t = cf._evaluate_line(line, n, x, delta)
+                    enumerated.setdefault(t, set()).add((line, n, x, delta))
+    checked = 0
+    for t, expected in enumerated.items():
+        if 0 in t:
+            continue
+        res = cf.classify_integer_triple(*t)
+        assert res is not None and expected <= reps(res), t
+        for ln in res[1]:
+            assert cf.parametric_triple(ln)[0] == t
+        checked += 1
+    assert checked == 1152
 
 
 def test_classify_box_completeness_small():

@@ -124,6 +124,20 @@ def test_expand_shorter_census_keeps_deeper_checkpoint(tmp_path):
     assert ck.read_bytes() == deep
 
 
+def test_expand_checkpoint_of_another_policy_exit_two(tmp_path, capsys):
+    ck = tmp_path / "frontier.ck"
+    assert cli.run(["expand", "--max-level", "8", "--checkpoint", str(ck),
+                    "--ecm-curves", "60"]) == 0
+    deep = ck.read_bytes()
+    capsys.readouterr()
+    assert cli.run(["expand", "--max-level", "3", "--checkpoint",
+                    str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delete it to start again" in captured.err
+    assert ck.read_bytes() == deep
+
+
 @pytest.fixture(scope="module")
 def level8_checkpoint(tmp_path_factory):
     ck = tmp_path_factory.mktemp("census") / "frontier.ck"
@@ -311,6 +325,9 @@ GOOD_RECORD = ('{"kind":"triple","modulus":"30","p":["2","3","5"],'
     '{"q":["2"]}',                                     # p and more missing
     '{"p":5,"q":["2"],"modulus":"2","residues":[]}',   # a field's type
     GOOD_RECORD.replace('"triple"', '5'),              # kind not a string
+    GOOD_RECORD.replace('"triple"', '"a,b"'),          # not its kind
+    GOOD_RECORD.replace('"triple"', '"quadruple-case-I"'),
+    GOOD_RECORD.replace('["19"]', '["19","19"]'),      # a repeated residue
 ])
 @pytest.mark.parametrize("from_stdin", [False, True])
 def test_tables_malformed_record_exit_two(tmp_path, monkeypatch, capsys,
@@ -350,6 +367,18 @@ def test_malformed_watch_line_exit_two(tmp_path, capsys):
                     "--max-level", "2", "--watch", str(watch)])
     assert code == 2
     assert f"{watch}:1" in capsys.readouterr().err
+
+
+def test_repeated_watch_class_exit_two(tmp_path, capsys):
+    watch = tmp_path / "watch.jsonl"
+    watch.write_text('{"a":"1","m":"2"}\n{"a":"1","m":"2"}\n')
+    code = cli.run(["explore", "--bound", "5", "--max-level", "2",
+                    "--watch", str(watch)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{watch}:2: " in captured.err
+    assert "repeats the class on line 1" in captured.err
 
 
 @pytest.mark.parametrize("bad_input", ["policy file", "cache line",

@@ -68,7 +68,7 @@ def test_bfs_levels_checkpoint_resume(tmp_path):
     assert [s.node_count for s in resumed] == [1, 1, 1, 1, 1, 2, 4, 9]
 
 
-def test_bfs_levels_ignores_checkpoint_of_another_ladder(tmp_path):
+def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path):
     ck = tmp_path / "frontier.jsonl"
     gr.bfs_levels(1, 5, checkpoint=str(ck))
     header, rest = ck.read_text().split("\n", 1)
@@ -77,9 +77,13 @@ def test_bfs_levels_ignores_checkpoint_of_another_ladder(tmp_path):
     pol = gr.DEFAULT_POLICY
     obj["policy"] = (f"{pol.trial_bound}:{pol.rho_iterations}:"
                      f"{pol.ecm_curves}:{pol.ecm_b1}")
-    obj["summaries"][-1][2] = 99  # a blocked count this ladder never saw
     ck.write_text(json.dumps(obj) + "\n" + rest)
-    assert gr.bfs_levels(1, 7, checkpoint=str(ck)) == gr.bfs_levels(1, 7)
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(
+            f"under policy {obj['policy']}, not root 1 under policy "
+            f"{gr._policy_fingerprint(pol)}: delete it")):
+        gr.bfs_levels(1, 7, checkpoint=str(ck))
+    assert ck.read_bytes() == before
 
 
 def test_bfs_levels_resumes_only_under_the_same_time_budget(tmp_path):
@@ -92,7 +96,10 @@ def test_bfs_levels_resumes_only_under_the_same_time_budget(tmp_path):
     ck.write_text(json.dumps(obj) + "\n" + rest)
     resumed = gr.bfs_levels(1, 5, budget, checkpoint=str(ck))
     assert resumed[-1].composite_count == 99
-    assert gr.bfs_levels(1, 7, checkpoint=str(ck)) == gr.bfs_levels(1, 7)
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="delete it to start again"):
+        gr.bfs_levels(1, 7, checkpoint=str(ck))
+    assert ck.read_bytes() == before
 
 
 def test_load_frontier_rejects_header_without_root(tmp_path):
@@ -293,6 +300,7 @@ def test_watch_list_file_roundtrip(tmp_path):
     '{"a": 19.5, "m": 30}', '{"a": "x", "m": "30"}',   # not an integer
     '{"a": true, "m": 30}', '{"a": "19", "m": null}',
     '{"a": "31", "m": "30"}',                          # not a reduced class
+    '{"a": 1, "m": 30}',                               # line 1's class again
 ])
 def test_watch_list_rejects_bad_line(tmp_path, line):
     path = tmp_path / "watch.jsonl"

@@ -252,6 +252,13 @@ def test_manypairs_modes():
         assert r.modulus % 6 == 0
 
 
+def test_manypairs_raises_on_a_block_the_policy_cannot_factor():
+    # only the family's filters skip an x; an unfactored block is an error
+    weak = arith.EffortPolicy(trial_bound=0, rho_iterations=0, ecm_curves=0)
+    with pytest.raises(ValueError, match="could not factor block 169511"):
+        list(ms.manypairs_generator(1, 400, "A", weak))
+
+
 # cubic triples, then f(x) and g(x) for each q and mode, up to x = 150
 FAMILY_RUNS = [(1, "A"), (595, "A"), (7, "A"), (2, "B"), (6, "B"), (30, "B")]
 
