@@ -1,8 +1,8 @@
 """Arbitrary-precision arithmetic services.
 
-Primality testing (deterministic below 2**64, strong-probable-prime style
-above), small-prime extraction by a remainder tree under the product of
-the small primes, a staged factoring ladder (small primes, a short pass of
+Baillie-PSW primality testing (exact below 2**64), small-prime
+extraction by a remainder tree under the product of the small primes, a
+staged factoring ladder (small primes, a short pass of
 Brent's cycle method, elliptic curves with Montgomery's stage 2, then a
 long Brent pass) backed by a persistent factor cache, modular inverses,
 Chinese remaindering, and a segmented squarefree enumerator that never
@@ -37,10 +37,6 @@ _SMALL_PRIMES = (
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
-
-# These bases make strong-pseudoprime testing exact for all n below about
-# 3.18e23, which covers the 64-bit deterministic tier, their only use.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -116,9 +112,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: exact for n < 2**64, strong BPSW-style beyond.
+    """Baillie-PSW primality test: a strong probable-prime test to base 2
+    and a strong Lucas test with Selfridge's parameters.
 
-    Returns False for 0 and 1.
+    Exact below 2**64: no BPSW pseudoprime lies there (Gilchrist, 2009,
+    checked against Feitsma's list of base-2 strong pseudoprimes), and
+    none is known above. Returns False for 0 and 1.
     """
     if n < 2:
         return False
@@ -129,8 +128,6 @@ def is_prime(n: int) -> bool:
             return False
     if n < 40401:  # 201**2: fully screened by the table above
         return True
-    if n < 1 << 64:
-        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
@@ -170,6 +167,12 @@ class EffortPolicy:
                 raise ValueError(f"policy field {f.name} must be "
                                  "nonnegative")
             object.__setattr__(self, f.name, kind(value))
+
+    @property
+    def small_prime_bound(self) -> int:
+        """Every prime factor up to this bound is found by ``factor``:
+        ``trial_bound``, and never less than the table's 199."""
+        return max(self.trial_bound, _SMALL_PRIMES[-1])
 
 
 DEFAULT_POLICY = EffortPolicy()
@@ -646,9 +649,7 @@ def factor(n: int, policy: EffortPolicy = DEFAULT_POLICY,
                 if policy.time_budget else None)
     counts: dict[int, int] = {}
     rest = n
-    # the primes of is_prime's table are always stripped, whatever the bound
-    bound = max(policy.trial_bound, _SMALL_PRIMES[-1])
-    for p in small_prime_factors(n, bound):
+    for p in small_prime_factors(n, policy.small_prime_bound):
         e = 0
         while rest % p == 0:
             rest //= p

@@ -6,7 +6,9 @@ congruences that reduce to the integer system
     p3 - p1 = q * p2,        p2 * (p1 + p3) = 1 + r * p1 * p3,
 
 whose solutions are generated exactly by four parametric families built
-from Fibonacci polynomials. Quadruples fall into four congruence cases.
+from Fibonacci polynomials. Each of the four quadruple cases pairs a
+tuple with one fixed partner ordering, and holds when the two pin one
+residue class (``tuples.residue_base``).
 Larger tuples arise by grouping primes into blocks and lifting a block
 level equivalence (``embed``), which is also how the two stock
 polynomial families f(x) and g(x) of ``modsearch`` produce irreducible
@@ -15,13 +17,12 @@ pairs of unbounded length.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
 from .arith import DEFAULT_POLICY, EffortPolicy, NotSquarefree, factor, is_prime
-from .tuples import Permutation, PrimeTuple
+from .tuples import Permutation, PrimeTuple, equivalent, residue_base
 
 
 class BlockCongruenceFailed(ValueError):
@@ -92,75 +93,54 @@ def is_multiple_triple(p1: int, p2: int, p3: int) -> bool:
     return _witness_of(p1, p2, p3) is not None
 
 
-_CASE_CLASSES = {
-    "I": lambda a, b, c, d: (((a, b, c, d), (d, a, c, b)),
-                             ((d, c, b, a), (b, c, a, d))),
-    "II": lambda a, b, c, d: (((a, b, c, d), (d, c, a, b)),
-                              ((d, c, b, a), (b, a, c, d))),
-    "III": lambda a, b, c, d: (((a, b, c, d), (d, b, c, a)),
-                               ((d, c, b, a), (a, c, b, d))),
-    "IV": lambda a, b, c, d: (((a, b, c, d), (d, c, b, a)),),
+# Each quadruple case pairs T = (a, b, c, d) with one partner ordering,
+# given as positions of T; the case holds when T and its partner pin one
+# residue class.
+_CASE_PARTNER = {
+    "I": (3, 0, 2, 1),    # (d, a, c, b)
+    "II": (3, 2, 0, 1),   # (d, c, a, b)
+    "III": (3, 1, 2, 0),  # (d, b, c, a)
+    "IV": (3, 2, 1, 0),   # (d, c, b, a)
 }
 
 
-def _case_conditions(case: str, a: int, b: int, c: int, d: int) -> bool:
-    if case == "I":
-        return ((d - 1) % a == 0
-                and (c * (a * b + d) - 1) % (b * d) == 0
-                and (b - d) % c == 0)
-    if case == "II":
-        return ((c * (a * b + d) - 1) % (a * b * d) == 0
-                and (a * b - d) % c == 0)
-    if case == "III":
-        return (((a + d) * b * c - 1) % (a * d) == 0
-                and (a - d) % (b * c) == 0)
-    if case == "IV":
-        return (((a + d) * b * c - 1) % (a * d) == 0
-                and (a - c * d) % b == 0
-                and (a * b - d) % c == 0)
-    raise ValueError(case)
-
-
-def _case_normalized(case: str, a: int, b: int, c: int, d: int) -> bool:
-    """Each case's symmetry group leaves its congruences invariant; these
-    inequalities pick one representative per solution set."""
-    if case == "II":
-        return a < b
-    if case == "III":
-        return a < d and b < c
-    if case == "IV":
-        return a < d
-    return True
+# Position map of an equivalent pair (P, Q), Q[i] = P[m[i]], to its case:
+# T to S, S to T, and the same between the reversals of T and S.
+_CASE_OF_MAP = {
+    pm: case
+    for case, m in _CASE_PARTNER.items()
+    for half in (m, tuple(3 - m[3 - i] for i in range(4)))
+    for pm in (half, tuple(half.index(i) for i in range(4)))
+}
 
 
 def quadruple_case(p1: int, p2: int, p3: int, p4: int
                    ) -> Optional[QuadrupleCase]:
-    """Match (p1..p4) against the four quadruple congruence systems.
+    """The first case, I to IV, in which T = (p1..p4) and its partner S
+    pin one residue class, with the classes it gives; None if none does.
 
-    Returns the unique matching case with its equivalence classes, or
-    None. A single tuple can satisfy at most one system, since two would
-    force more than two orderings into one residue class. The inequality
-    normalizations are only a counting device (a system invariant under
-    reversal is satisfied by both orderings of the one class it yields),
-    so they do not reject input here.
+    Reversal preserves equivalence, so a case gives the classes {T, S}
+    and {rev T, rev S}; in case IV, S is rev T and there is one class. At
+    most one case holds, since two would put three orderings in one
+    class. Distinct primes are all accepted; a repeated entry raises
+    NotInvertible.
     """
-    for case in ("I", "II", "III", "IV"):
-        if _case_conditions(case, p1, p2, p3, p4):
-            return QuadrupleCase(case, _CASE_CLASSES[case](p1, p2, p3, p4))
+    T = (p1, p2, p3, p4)
+    a = residue_base(T)
+    for case, m in _CASE_PARTNER.items():
+        S = tuple(T[i] for i in m)
+        if residue_base(S) == a:
+            classes = ((T, S), (T[::-1], S[::-1]))
+            return QuadrupleCase(case, classes[:1] if case == "IV" else classes)
     return None
 
 
 def quadruple_case_of_pair(P: Sequence[int], Q: Sequence[int]) -> Optional[str]:
-    """Case tag of an irreducible quadruple pair, scanning orderings."""
-    pair = {tuple(P), tuple(Q)}
-    for T in itertools.permutations(sorted(P)):
-        qc = quadruple_case(*T)
-        if qc is None:
-            continue
-        for cls in qc.classes:
-            if set(cls) == pair:
-                return qc.case
-    return None
+    """Case tag of an equivalent quadruple pair, read off the position map
+    that takes P to Q; None for any other pair."""
+    if len(P) != 4 or not equivalent(P, Q):
+        return None
+    return _CASE_OF_MAP.get(tuple(P.index(q) for q in Q))
 
 
 def fib_poly(n: int, x: int) -> int:
@@ -265,12 +245,14 @@ def classify_integer_triple(p1: int, p2: int, p3: int
 def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
     """Lift a block-level equivalence to the full prime tuple.
 
-    The blocks' concatenated orderings form P; the returned partner is
-    the block-permuted arrangement, equivalent to P by construction.
+    The blocks' concatenated orderings form P; the partner is the
+    block-permuted arrangement. The blocks are squarefree and pairwise
+    coprime, so the block congruences (each block sees equal products of
+    its predecessor blocks in both) hold exactly when P and the partner
+    pin one residue class; BlockCongruenceFailed is raised otherwise.
     """
     blocks, orderings = b.blocks, b.orderings
-    k = len(blocks)
-    if pi.k != k:
+    if pi.k != len(blocks):
         raise ValueError("permutation size does not match block count")
     if pi.is_identity:
         raise ValueError("permutation must be non-trivial")
@@ -285,11 +267,8 @@ def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
     if len(set(flat)) != len(flat):
         raise NotSquarefree("blocks share a prime factor")
 
-    q_blocks = pi.apply(blocks)
-    for i in range(k):
-        if (prod(blocks[:i]) - prod(q_blocks[:pi.images[i]])) % blocks[i]:
-            raise BlockCongruenceFailed(
-                f"block congruence fails at position {i + 1}")
-
     partner = tuple(p for i in pi.inverse().images for p in orderings[i])
+    if not equivalent(flat, partner):
+        raise BlockCongruenceFailed(
+            f"blocks {blocks} are not congruent under {pi.images}")
     return PrimeTuple(tuple(flat)), PrimeTuple(partner)

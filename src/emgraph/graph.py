@@ -395,7 +395,8 @@ def euclid_mullin(n: int, steps: int, policy: EffortPolicy = DEFAULT_POLICY,
 
     Stops early with a partial list when the factoring effort cannot
     certify the requested prime: the least factor is still certain when
-    the smallest known prime is within the trial bound, while the largest
+    the smallest known prime is within the policy's small-prime bound
+    (``factor`` finds every prime up to it), while the largest
     requires a complete factorization. A start below 1 raises ValueError.
     """
     if n < 1:
@@ -412,7 +413,7 @@ def euclid_mullin(n: int, steps: int, policy: EffortPolicy = DEFAULT_POLICY,
             break
         if rule == "least":
             p = fz.primes[0]
-            if not fz.complete and p > policy.trial_bound:
+            if not fz.complete and p > policy.small_prime_bound:
                 break
         else:
             if not fz.complete:

@@ -59,7 +59,7 @@ from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
 from .classify import (BlockCongruenceFailed, BlockTuple, embed,
                        quadruple_case_of_pair)
 from .tuples import (PairRecord, Permutation, PrimeTuple, ResidueClass,
-                     _share_proper_prefix, is_irreducible_pair, residue_base)
+                     _share_proper_prefix, residue_base)
 
 
 class IncompleteFactorization(ValueError):
@@ -332,7 +332,8 @@ def manypairs_generator(q: int, x_max: int, mode: str = "A",
             P, Q = embed(BlockTuple.from_blocks(blocks, policy), swap_ends)
         except (NotSquarefree, BlockCongruenceFailed):
             continue
-        if is_irreducible_pair(P, Q):
+        # embed has checked equivalence; irreducible needs distinct prefixes
+        if not _share_proper_prefix(P.primes, Q.primes):
             yield from _records_for(value, [(P.primes, Q.primes)])
 
 

@@ -162,11 +162,7 @@ def _check_k(k: int) -> None:
 
 def multiplicity(P: TupleLike) -> int:
     """Number of orderings of P's primes sharing P's residue class."""
-    ps = _entries(P)
-    _check_k(len(ps))
-    target = residue_base(ps)
-    return sum(1 for q in itertools.permutations(ps)
-               if residue_base(q) == target)
+    return len(equivalence_class(P))
 
 
 def equivalence_class(P: TupleLike) -> list[PrimeTuple]:

@@ -5,6 +5,7 @@ line per criterion as it completes. Criteria with stated wall-clock
 budgets assert them; the minutes-scale searches use a generous ceiling.
 """
 
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -86,10 +87,16 @@ def test_criterion_05_range_search_to_1e7():
         cfg = ms.SearchConfig(2, 10 ** 7, irreducible_only=True,
                               worker_count=2)
         found = {}
+        kinds = collections.Counter()
         for rec in ms.search_range(cfg):
             assert rec.modulus >= 30
             found.setdefault(rec.modulus, set()).update(
                 rc.a for rc in rec.residues)
+            kinds[rec.kind] += 1
+        assert (sum(kinds.values()), len(found)) == (7802, 1301)
+        assert kinds == {"general": 7770, "triple": 3,
+                         "quadruple-case-I": 6, "quadruple-case-II": 8,
+                         "quadruple-case-III": 4, "quadruple-case-IV": 11}
         for primes, modulus, a in TRIPLE_ROWS:
             if modulus < 10 ** 7:
                 assert a in found.get(modulus, set()), (modulus, a)

@@ -65,6 +65,32 @@ def test_is_prime_matches_reference_large(n):
     assert arith.is_prime(n) == sympy.isprime(n)
 
 
+def strong_probable_prime_base_2(n):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1
+                                  for r in range(1, s))
+
+
+def test_is_prime_rejects_base_2_strong_pseudoprimes():
+    # the base-2 half of the test passes these; the Lucas half must not
+    primes = set(arith.sieve_primes(2 * 10 ** 6))
+    pseudo = [n for n in range(3, 2 * 10 ** 6, 2)
+              if n not in primes and strong_probable_prime_base_2(n)]
+    # 46 below 10^6, as Pomerance, Selfridge and Wagstaff (1980) count
+    assert sum(n < 10 ** 6 for n in pseudo) == 46
+    assert len(pseudo) == 73 and 1093 ** 2 in pseudo
+    # strong pseudoprimes to bases 2 (3511^2), to 2, 3, 5, 7, to the
+    # primes up to 23, and to the primes up to 37
+    pseudo += [3511 ** 2, 3215031751, 149491 * 747451 * 34233211,
+               399165290221 * 798330580441]
+    assert 3215031751 == 151 * 751 * 28351
+    for n in pseudo:
+        assert not arith.is_prime(n), n
+
+
 def test_is_prime_known_big():
     # 63-digit edge prime from the known double-path node
     p = int("72694522396969116359394297872290691367374465585642863181531"

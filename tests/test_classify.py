@@ -1,6 +1,7 @@
 """Tests for triple/quadruple classification and parametric generation."""
 
 import itertools
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from emgraph import classify as cf
 from emgraph import tuples as tp
-from emgraph.arith import sieve_primes
+from emgraph.arith import factor, sieve_primes
 
 from table_data import TRIPLE_ROWS, QUADRUPLE_ROWS
 
@@ -78,23 +79,86 @@ def test_quadruple_case_agrees_with_multiplicity():
     assert hits > 0
 
 
-def test_case_iv_normalization_counts_each_class_once():
-    # a case-IV system is reversal-invariant: both orderings of the one
-    # class satisfy the congruences, exactly one passes the inequality
+def test_case_iv_reversal_is_case_iv():
+    # a case-IV system is reversal-invariant: the reversal of a case-IV
+    # tuple is in case IV, with the one class it shares
     for primes, _, _, case in QUADRUPLE_ROWS:
         if case != "IV":
             continue
         rev = tuple(reversed(primes))
-        assert cf._case_conditions("IV", *primes)
-        assert cf._case_conditions("IV", *rev)
-        assert cf._case_normalized("IV", *primes) \
-            != cf._case_normalized("IV", *rev)
+        qc, qr = cf.quadruple_case(*primes), cf.quadruple_case(*rev)
+        assert qc.case == qr.case == "IV"
+        assert set(qc.classes[0]) == set(qr.classes[0]) == {primes, rev}
 
 
 def test_quadruple_case_of_pair():
     assert cf.quadruple_case_of_pair((2, 5, 7, 3), (3, 7, 2, 5)) == "II"
     assert cf.quadruple_case_of_pair((11, 3, 2, 13), (13, 2, 3, 11)) == "IV"
     assert cf.quadruple_case_of_pair((2, 3, 5, 7), (7, 5, 3, 2)) is None
+    assert cf.quadruple_case_of_pair((2, 3, 5), (5, 3, 2)) is None
+
+
+def test_quadruple_case_rejects_repeated_entry():
+    with pytest.raises(ValueError):
+        cf.quadruple_case(2, 2, 3, 5)
+
+
+# The paper's four congruence systems, one per case, each with the classes
+# it gives: an oracle independent of the residue-class test.
+def congruence_case(a, b, c, d):
+    systems = (
+        ("I", (d - 1) % a == 0 and (c * (a * b + d) - 1) % (b * d) == 0
+         and (b - d) % c == 0,
+         (((a, b, c, d), (d, a, c, b)), ((d, c, b, a), (b, c, a, d)))),
+        ("II", (c * (a * b + d) - 1) % (a * b * d) == 0
+         and (a * b - d) % c == 0,
+         (((a, b, c, d), (d, c, a, b)), ((d, c, b, a), (b, a, c, d)))),
+        ("III", ((a + d) * b * c - 1) % (a * d) == 0
+         and (a - d) % (b * c) == 0,
+         (((a, b, c, d), (d, b, c, a)), ((d, c, b, a), (a, c, b, d)))),
+        ("IV", ((a + d) * b * c - 1) % (a * d) == 0
+         and (a - c * d) % b == 0 and (a * b - d) % c == 0,
+         (((a, b, c, d), (d, c, b, a)),)),
+    )
+    for case, holds, classes in systems:
+        if holds:
+            return case, classes
+    return None
+
+
+def congruence_case_of_pair(P, Q):
+    # scan the 24 orderings of the primes through the congruence systems
+    for T in itertools.permutations(sorted(P)):
+        hit = congruence_case(*T)
+        if hit and any(set(cls) == {tuple(P), tuple(Q)} for cls in hit[1]):
+            return hit[0]
+    return None
+
+
+def test_quadruple_case_matches_congruence_systems():
+    hits = 0
+    for combo in itertools.combinations(sieve_primes(60), 4):
+        for T in itertools.permutations(combo):
+            qc = cf.quadruple_case(*T)
+            expected = congruence_case(*T)
+            assert (qc and (qc.case, qc.classes)) == expected, T
+            hits += expected is not None
+    assert hits == 28
+
+
+def test_quadruple_case_of_pair_matches_ordering_scan():
+    pairs = tagged = 0
+    for combo in itertools.combinations(sieve_primes(100), 4):
+        by_class = {}
+        for T in itertools.permutations(combo):
+            by_class.setdefault(tp.residue_base(T), []).append(T)
+        for members in by_class.values():
+            for P, Q in itertools.permutations(members, 2):
+                tag = cf.quadruple_case_of_pair(P, Q)
+                assert tag == congruence_case_of_pair(P, Q), (P, Q)
+                pairs += 1
+                tagged += tag is not None
+    assert (pairs, tagged) == (312, 48)
 
 
 # Fibonacci machinery -----------------------------------------------------
@@ -245,6 +309,38 @@ def test_embed_reducible_when_block_prefixes_repeat():
     assert (P.primes, Q.primes) == ((7, 2, 3, 5), (7, 5, 3, 2))
     assert tp.equivalent(P.primes, Q.primes)
     assert not tp.is_irreducible_pair(P.primes, Q.primes)
+
+
+def block_congruences_hold(blocks, pi):
+    # block i sees equal products of its predecessor blocks on both sides
+    q_blocks = pi.apply(blocks)
+    return all((prod(blocks[:i]) - prod(q_blocks[:pi.images[i]])) % b == 0
+               for i, b in enumerate(blocks))
+
+
+def test_embed_matches_block_congruences():
+    # every ordered triple of pairwise coprime squarefree blocks below 40,
+    # the middle block's primes descending, under each non-trivial pi
+    squarefree = {n: factor(n).primes for n in range(2, 40)
+                  if factor(n).squarefree}
+    pis = [cf.Permutation(p) for p in itertools.permutations(range(3))][1:]
+    lifted = 0
+    for combo in itertools.combinations(squarefree, 3):
+        if any(gcd(u, v) > 1 for u, v in itertools.combinations(combo, 2)):
+            continue
+        for blocks in itertools.permutations(combo):
+            bt = cf.BlockTuple(blocks, tuple(
+                squarefree[b][::(-1) ** i] for i, b in enumerate(blocks)))
+            for pi in pis:
+                holds = block_congruences_hold(blocks, pi)
+                try:
+                    P, Q = cf.embed(bt, pi)
+                except cf.BlockCongruenceFailed:
+                    assert not holds, (blocks, pi)
+                    continue
+                assert holds and tp.equivalent(P, Q), (blocks, pi)
+                lifted += 1
+    assert lifted == 14
 
 
 @given(st.integers(min_value=1, max_value=60),

@@ -476,6 +476,14 @@ def test_cache_flag(tmp_path):
     assert out.split() == ["7432339208719"]
 
 
+def test_sequence_prints_table_prime_below_trial_bound():
+    code, out = run_capture(["sequence", "--start",
+                             "4952862588761800911605208807760844003510",
+                             "--steps", "1", "--trial-bound", "0",
+                             "--rho-iterations", "0", "--ecm-curves", "0"])
+    assert (code, out.split()) == (0, ["3"])
+
+
 # each command takes only the options it reads ---------------------------
 
 # a valid call of each command that ignores --cache or --format

@@ -376,6 +376,14 @@ def test_euclid_mullin_stops_when_effort_exhausted():
     assert len(terms) < 30
 
 
+def test_euclid_mullin_least_prime_of_table_is_certain_at_any_bound():
+    # start + 1 = 3·p·q with p and q primes of 20 digits: with no rho or
+    # curves the cofactor stays whole, but 3 is found whatever the bound
+    start = 4952862588761800911605208807760844003510
+    pol = EffortPolicy(trial_bound=0, rho_iterations=0, ecm_curves=0)
+    assert gr.euclid_mullin(start, 1, pol) == [3]
+
+
 def test_euclid_mullin_matches_leftmost_branch():
     terms = gr.euclid_mullin(1, 7)
     value = 1
