@@ -12,17 +12,18 @@ residue class (``tuples.residue_base``).
 Larger tuples arise by grouping primes into blocks and lifting a block
 level equivalence (``embed``), which is also how the two stock
 polynomial families f(x) and g(x) of ``modsearch`` produce irreducible
-pairs of unbounded length.
+pairs of unbounded length. ``embed`` takes each block's ordering of its
+primes and names the partner by the block positions it takes, the way
+``_CASE_PARTNER`` names a quadruple's partner by entry positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Optional, Sequence
 
 from .arith import DEFAULT_POLICY, EffortPolicy, NotSquarefree, factor, is_prime
-from .tuples import Permutation, PrimeTuple, equivalent, residue_base
+from .tuples import equivalent, residue_base
 
 
 class BlockCongruenceFailed(ValueError):
@@ -59,29 +60,6 @@ class QuadrupleCase:
 
     case: str
     classes: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-@dataclass(frozen=True)
-class BlockTuple:
-    """Integers > 1 with a chosen ordering of each one's prime factors."""
-
-    blocks: tuple[int, ...]
-    orderings: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_blocks(blocks: Sequence[int],
-                    policy: EffortPolicy = DEFAULT_POLICY) -> "BlockTuple":
-        """Factor each block and order its primes ascending."""
-        orderings = []
-        for b in blocks:
-            fz = factor(b, policy)
-            expanded: list[int] = []
-            for p, e in fz.factors:
-                expanded.extend([p] * e)
-            if not fz.complete:
-                raise ValueError(f"could not factor block {b}")
-            orderings.append(tuple(expanded))
-        return BlockTuple(tuple(blocks), tuple(orderings))
 
 
 def is_multiple_triple(p1: int, p2: int, p3: int) -> bool:
@@ -242,33 +220,48 @@ def classify_integer_triple(p1: int, p2: int, p3: int
                == (p1, p2, p3)]
 
 
-def embed(b: BlockTuple, pi: Permutation) -> tuple[PrimeTuple, PrimeTuple]:
+def block_orderings(blocks: Sequence[int],
+                    policy: EffortPolicy = DEFAULT_POLICY
+                    ) -> tuple[tuple[int, ...], ...]:
+    """The primes of each block, ascending and with multiplicity;
+    ValueError for a block the policy cannot factor completely."""
+    orderings = []
+    for b in blocks:
+        fz = factor(b, policy)
+        if not fz.complete:
+            raise ValueError(f"could not factor block {b}")
+        orderings.append(tuple(p for p, e in fz.factors for _ in range(e)))
+    return tuple(orderings)
+
+
+def embed(orderings: Sequence[Sequence[int]], order: Sequence[int]
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lift a block-level equivalence to the full prime tuple.
 
-    The blocks' concatenated orderings form P; the partner is the
-    block-permuted arrangement. The blocks are squarefree and pairwise
-    coprime, so the block congruences (each block sees equal products of
-    its predecessor blocks in both) hold exactly when P and the partner
-    pin one residue class; BlockCongruenceFailed is raised otherwise.
+    P concatenates the blocks' prime ``orderings``; the partner
+    concatenates orderings[i] for i in ``order``, which names block
+    positions the way ``_CASE_PARTNER`` names entry positions. Entries
+    must be prime and distinct (NotSquarefree otherwise), so the blocks
+    are squarefree and pairwise coprime, and the block congruences (each
+    block sees equal products of its predecessor blocks in both) hold
+    exactly when P and the partner pin one residue class;
+    BlockCongruenceFailed is raised otherwise. Returns (P, partner).
     """
-    blocks, orderings = b.blocks, b.orderings
-    if pi.k != len(blocks):
-        raise ValueError("permutation size does not match block count")
-    if pi.is_identity:
-        raise ValueError("permutation must be non-trivial")
+    if sorted(order) != list(range(len(orderings))):
+        raise ValueError("order must list each block position once")
+    if list(order) == sorted(order):
+        raise ValueError("order must be non-trivial")
     flat: list[int] = []
-    for block, ordering in zip(blocks, orderings):
-        if block <= 1:
+    for ordering in orderings:
+        if not ordering:
             raise ValueError("blocks must exceed 1")
-        if prod(ordering) != block or not all(is_prime(p) for p in ordering):
-            raise NotSquarefree(
-                f"ordering {ordering} is not a squarefree split of {block}")
+        if not all(is_prime(p) for p in ordering):
+            raise NotSquarefree(f"block {ordering} has a non-prime entry")
         flat.extend(ordering)
     if len(set(flat)) != len(flat):
-        raise NotSquarefree("blocks share a prime factor")
-
-    partner = tuple(p for i in pi.inverse().images for p in orderings[i])
+        raise NotSquarefree("a prime appears twice among the blocks")
+    partner = tuple(p for i in order for p in orderings[i])
     if not equivalent(flat, partner):
         raise BlockCongruenceFailed(
-            f"blocks {blocks} are not congruent under {pi.images}")
-    return PrimeTuple(tuple(flat)), PrimeTuple(partner)
+            f"blocks {orderings} are not congruent under order {order}")
+    return tuple(flat), partner

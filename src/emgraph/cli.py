@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .arith import DEFAULT_POLICY, EffortPolicy, FactorCache
@@ -91,8 +90,6 @@ def export_tables(records: Sequence[PairRecord]) -> list[str]:
     for m in sorted(by_modulus):
         group = by_modulus[m]
         density = modsearch.density_report(group).inverse_density
-        if isinstance(density, Fraction):
-            density = f"{density.numerator}/{density.denominator}"
         for r in group:
             lines.append(_record_csv_row(r, density))
     return lines

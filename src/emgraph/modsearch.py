@@ -52,13 +52,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
                     NotSquarefree, is_prime, squarefree_stream)
-from .classify import (BlockCongruenceFailed, BlockTuple, embed,
+from .classify import (BlockCongruenceFailed, block_orderings, embed,
                        quadruple_case_of_pair)
-from .tuples import (PairRecord, Permutation, PrimeTuple, ResidueClass,
+from .tuples import (PairRecord, PrimeTuple, ResidueClass,
                      _share_proper_prefix, residue_base)
 
 
@@ -101,7 +101,7 @@ class DensityReport:
 
     modulus: int
     class_count: int
-    inverse_density: Union[int, Fraction]
+    inverse_density: Fraction
 
 
 def _collision_free_prime(primes: Sequence[int]) -> bool:
@@ -289,13 +289,22 @@ def brute_force_pairs(m: int, fz: Factorization,
     return _records_for(m, sorted(pairs))
 
 
+# The blocks of each stock polynomial family at x; the family's value is
+# their product.
+_FAMILY_BLOCKS = {
+    "A": lambda x: (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1),
+    "B": lambda x: (x, x * x - x + 1, x * x + 1),
+}
+
+
 def generate_prime_triples(x_max: int) -> Iterator[PairRecord]:
     """Prime outputs of the cubic-family triple for x = 1..x_max.
 
-    Each hit is emitted as the irreducible pair formed with its reversal.
+    The triple is family A's blocks; each hit is emitted as the
+    irreducible pair formed with its reversal.
     """
     for x in range(1, x_max + 1):
-        t = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
+        t = _FAMILY_BLOCKS["A"](x)
         if all(is_prime(v) for v in t):
             yield from _records_for(prod(t), [(t, t[::-1])])
 
@@ -312,29 +321,22 @@ def manypairs_generator(q: int, x_max: int, mode: str = "A",
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if mode not in ("A", "B"):
+    if mode not in _FAMILY_BLOCKS:
         raise ValueError("mode must be 'A' or 'B'")
-    swap_ends = Permutation.transposition(3, 0, 2)
+    # gcd(value, q) = 1 exactly when gcd(value, q^2) = 1
+    share = 1 if mode == "A" else q
     for x in range(1, x_max + 1):
-        if mode == "A":
-            blocks = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
-            value = prod(blocks)
-            if gcd(value, q) != 1:
-                continue
-        else:
-            blocks = (x, x * x - x + 1, x * x + 1)
-            value = prod(blocks)
-            if gcd(value, q * q) != q:
-                continue
-        if any(b <= 1 for b in blocks):
+        blocks = _FAMILY_BLOCKS[mode](x)
+        value = prod(blocks)
+        if gcd(value, q * q) != share or any(b <= 1 for b in blocks):
             continue
         try:
-            P, Q = embed(BlockTuple.from_blocks(blocks, policy), swap_ends)
+            P, Q = embed(block_orderings(blocks, policy), (2, 1, 0))
         except (NotSquarefree, BlockCongruenceFailed):
             continue
         # embed has checked equivalence; irreducible needs distinct prefixes
-        if not _share_proper_prefix(P.primes, Q.primes):
-            yield from _records_for(value, [(P.primes, Q.primes)])
+        if not _share_proper_prefix(P, Q):
+            yield from _records_for(value, [(P, Q)])
 
 
 def density_report(records: Sequence[PairRecord]) -> DensityReport:
@@ -348,9 +350,7 @@ def density_report(records: Sequence[PairRecord]) -> DensityReport:
     phi = 1
     for p in records[0].p.primes:
         phi *= p - 1
-    ratio = Fraction(phi, len(classes))
-    inv = int(ratio) if ratio.denominator == 1 else ratio
-    return DensityReport(m, len(classes), inv)
+    return DensityReport(m, len(classes), Fraction(phi, len(classes)))
 
 
 def _search_chunk(args: tuple[int, int, int, int, bool]) -> list[PairRecord]:
@@ -394,17 +394,19 @@ def resume_point(cfg: SearchConfig,
     """(first modulus left to search, records already emitted) for a run
     of ``cfg`` that resumes from ``checkpoint``.
 
-    A job only ever checkpoints a chunk end inside [lo, hi], so a last
-    modulus outside that range marks a checkpoint of another job.
+    A job only ever checkpoints its own chunk ends: hi, or the last
+    modulus of a whole number of chunks from lo. Any other last modulus
+    marks a checkpoint of another job.
     """
     state = read_checkpoint(checkpoint) if checkpoint is not None else None
     if state is None:
         return cfg.lo, 0
     last, count = state
-    if not cfg.lo <= last <= cfg.hi:
+    if not (cfg.lo <= last <= cfg.hi and
+            (last == cfg.hi or (last - cfg.lo + 1) % _CHUNK == 0)):
         raise ValueError(f"checkpoint {checkpoint} ends at modulus {last}, "
-                         f"outside [{cfg.lo}, {cfg.hi}]: it belongs to "
-                         "another job")
+                         f"not a chunk end of the job on [{cfg.lo}, "
+                         f"{cfg.hi}]: it belongs to another job")
     return last + 1, count
 
 

@@ -67,10 +67,6 @@ class PrimeTuple:
 TupleLike = Union[PrimeTuple, Sequence[int]]
 
 
-def _entries(P: TupleLike) -> tuple[int, ...]:
-    return P.primes if isinstance(P, PrimeTuple) else tuple(P)
-
-
 @dataclass(frozen=True)
 class ResidueClass:
     """An invertible residue a modulo m."""
@@ -88,44 +84,6 @@ class ResidueClass:
         return f"{self.a} mod {self.m}"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on positions 0..k-1; images[i] is where entry i lands."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("not a bijection")
-
-    @property
-    def k(self) -> int:
-        return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
-    def apply(self, seq: Sequence) -> tuple:
-        """Rearrange seq so entry i moves to position images[i]."""
-        out = [None] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = seq[i]
-        return tuple(out)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.k
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    @staticmethod
-    def transposition(k: int, i: int, j: int) -> "Permutation":
-        images = list(range(k))
-        images[i], images[j] = j, i
-        return Permutation(tuple(images))
-
-
 def residue_base(primes: Iterable[int]) -> int:
     """Least nonnegative n with p_i | p_1...p_{i-1} n + 1 for every i."""
     a, M = 0, 1
@@ -139,20 +97,20 @@ def residue_base(primes: Iterable[int]) -> int:
 
 def residue_class(P: TupleLike) -> ResidueClass:
     """The arithmetic progression of starting values admitting path P."""
-    ps = _entries(P)
+    ps = tuple(P)
     return ResidueClass(residue_base(ps), prod(ps))
 
 
 def equivalent(P: TupleLike, Q: TupleLike) -> bool:
     """True when P and Q are orderings of one prime set with equal classes."""
-    ps, qs = _entries(P), _entries(Q)
+    ps, qs = tuple(P), tuple(Q)
     if sorted(ps) != sorted(qs):
         return False
     return residue_base(ps) == residue_base(qs)
 
 
 def reverse(P: PrimeTuple) -> PrimeTuple:
-    return PrimeTuple(tuple(reversed(_entries(P))))
+    return PrimeTuple(tuple(P)[::-1])
 
 
 def _check_k(k: int) -> None:
@@ -167,7 +125,7 @@ def multiplicity(P: TupleLike) -> int:
 
 def equivalence_class(P: TupleLike) -> list[PrimeTuple]:
     """All orderings equivalent to P, including P itself, sorted."""
-    ps = _entries(P)
+    ps = tuple(P)
     _check_k(len(ps))
     target = residue_base(ps)
     out = [PrimeTuple(q) for q in itertools.permutations(ps)
@@ -192,7 +150,7 @@ def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
 
     Such a pair forms a loop meeting only at its endpoints.
     """
-    ps, qs = _entries(P), _entries(Q)
+    ps, qs = tuple(P), tuple(Q)
     if ps == qs or len(ps) != len(qs):
         return False
     return equivalent(ps, qs) and not _share_proper_prefix(ps, qs)

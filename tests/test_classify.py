@@ -274,71 +274,79 @@ def test_classify_box_completeness_small():
 # block embedding -----------------------------------------------------------
 
 def test_embed_examples():
-    bt = cf.BlockTuple.from_blocks((10, 7, 3))
-    P, Q = cf.embed(bt, cf.Permutation((2, 1, 0)))
-    assert (P.primes, Q.primes) == ((2, 5, 7, 3), (3, 7, 2, 5))
-    assert tp.equivalent(P.primes, Q.primes)
-    assert tp.is_irreducible_pair(P.primes, Q.primes)
+    P, Q = cf.embed(cf.block_orderings((10, 7, 3)), (2, 1, 0))
+    assert (P, Q) == ((2, 5, 7, 3), (3, 7, 2, 5))
+    assert tp.equivalent(P, Q)
+    assert tp.is_irreducible_pair(P, Q)
 
-    bt = cf.BlockTuple.from_blocks((2, 3, 5))
-    P, Q = cf.embed(bt, cf.Permutation((2, 1, 0)))
-    assert (P.primes, Q.primes) == ((2, 3, 5), (5, 3, 2))
+    P, Q = cf.embed(cf.block_orderings((2, 3, 5)), (2, 1, 0))
+    assert (P, Q) == ((2, 3, 5), (5, 3, 2))
 
-    with pytest.raises(cf.NotSquarefree):
-        cf.embed(cf.BlockTuple.from_blocks((4, 3, 5)),
-                 cf.Permutation((2, 1, 0)))
+    with pytest.raises(cf.NotSquarefree, match="appears twice"):
+        cf.embed(cf.block_orderings((4, 3, 5)), (2, 1, 0))
 
 
 def test_embed_requires_congruences():
     with pytest.raises(cf.BlockCongruenceFailed):
-        cf.embed(cf.BlockTuple.from_blocks((3, 7, 11)),
-                 cf.Permutation((2, 1, 0)))
+        cf.embed(cf.block_orderings((3, 7, 11)), (2, 1, 0))
 
 
 def test_embed_rejects_identity():
     with pytest.raises(ValueError):
-        cf.embed(cf.BlockTuple.from_blocks((2, 3, 5)),
-                 cf.Permutation((0, 1, 2)))
+        cf.embed(cf.block_orderings((2, 3, 5)), (0, 1, 2))
 
 
 def test_embed_reducible_when_block_prefixes_repeat():
     # fix the first block, swap an inner multiple triple: equivalent but
     # the shared leading block makes the pair reducible
-    bt = cf.BlockTuple.from_blocks((7, 2, 3, 5))
-    P, Q = cf.embed(bt, cf.Permutation((0, 3, 2, 1)))
-    assert (P.primes, Q.primes) == ((7, 2, 3, 5), (7, 5, 3, 2))
-    assert tp.equivalent(P.primes, Q.primes)
-    assert not tp.is_irreducible_pair(P.primes, Q.primes)
+    P, Q = cf.embed(cf.block_orderings((7, 2, 3, 5)), (0, 3, 2, 1))
+    assert (P, Q) == ((7, 2, 3, 5), (7, 5, 3, 2))
+    assert tp.equivalent(P, Q)
+    assert not tp.is_irreducible_pair(P, Q)
 
 
-def block_congruences_hold(blocks, pi):
-    # block i sees equal products of its predecessor blocks on both sides
-    q_blocks = pi.apply(blocks)
-    return all((prod(blocks[:i]) - prod(q_blocks[:pi.images[i]])) % b == 0
+def test_embed_names_partner_as_quadruple_cases_do():
+    # single-prime blocks: embed's order is the case's partner table row,
+    # not its inverse (cases I and II are not involutions)
+    rows = {}
+    for row in QUADRUPLE_ROWS:
+        rows.setdefault(row[3], row[0])
+    assert set(rows) == set(cf._CASE_PARTNER)
+    for case, T in rows.items():
+        order = cf._CASE_PARTNER[case]
+        assert (cf.embed([(p,) for p in T], order)
+                == cf.quadruple_case(*T).classes[0]), case
+
+
+def block_congruences_hold(blocks, order):
+    # block i sees equal products of its predecessor blocks on both sides;
+    # in the partner it stands at position order.index(i)
+    q_blocks = [blocks[i] for i in order]
+    return all((prod(blocks[:i]) - prod(q_blocks[:order.index(i)])) % b == 0
                for i, b in enumerate(blocks))
 
 
 def test_embed_matches_block_congruences():
     # every ordered triple of pairwise coprime squarefree blocks below 40,
-    # the middle block's primes descending, under each non-trivial pi
+    # the middle block's primes descending, under each non-trivial order
     squarefree = {n: factor(n).primes for n in range(2, 40)
                   if factor(n).squarefree}
-    pis = [cf.Permutation(p) for p in itertools.permutations(range(3))][1:]
+    orders = list(itertools.permutations(range(3)))[1:]
     lifted = 0
     for combo in itertools.combinations(squarefree, 3):
         if any(gcd(u, v) > 1 for u, v in itertools.combinations(combo, 2)):
             continue
         for blocks in itertools.permutations(combo):
-            bt = cf.BlockTuple(blocks, tuple(
-                squarefree[b][::(-1) ** i] for i, b in enumerate(blocks)))
-            for pi in pis:
-                holds = block_congruences_hold(blocks, pi)
+            orderings = tuple(squarefree[b][::(-1) ** i]
+                              for i, b in enumerate(blocks))
+            for order in orders:
+                holds = block_congruences_hold(blocks, order)
                 try:
-                    P, Q = cf.embed(bt, pi)
+                    P, Q = cf.embed(orderings, order)
                 except cf.BlockCongruenceFailed:
-                    assert not holds, (blocks, pi)
+                    assert not holds, (blocks, order)
                     continue
-                assert holds and tp.equivalent(P, Q), (blocks, pi)
+                assert holds and tp.equivalent(P, Q), (blocks, order)
                 lifted += 1
     assert lifted == 14
 
@@ -349,15 +357,13 @@ def test_embed_matches_block_congruences():
 def test_embed_property_on_family(x, data):
     blocks = (x * x + x + 1, x * x + 1, x ** 3 + x * x + 2 * x + 1)
     try:
-        bt = cf.BlockTuple.from_blocks(blocks)
-        shuffled = tuple(
-            tuple(data.draw(st.permutations(list(o)))) for o in bt.orderings)
-        bt = cf.BlockTuple(bt.blocks, shuffled)
-        P, Q = cf.embed(bt, cf.Permutation((2, 1, 0)))
+        shuffled = tuple(tuple(data.draw(st.permutations(list(o))))
+                         for o in cf.block_orderings(blocks))
+        P, Q = cf.embed(shuffled, (2, 1, 0))
     except cf.NotSquarefree:
         assume(False)
         return
-    assert tp.equivalent(P.primes, Q.primes)
+    assert tp.equivalent(P, Q)
     # distinct block prefix products here, so always irreducible
-    assert tp.is_irreducible_pair(P.primes, Q.primes)
+    assert tp.is_irreducible_pair(P, Q)
 

@@ -101,6 +101,18 @@ def test_search_pairs_checkpoint_of_another_job(tmp_path):
     assert out.read_bytes() == full
 
 
+def test_search_pairs_checkpoint_of_overlapping_job(tmp_path):
+    out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
+    argv = ["search-pairs", "--irreducible-only", "--checkpoint", str(ck),
+            "--out", str(out)]
+    assert cli.run(argv + ["--lo", "2", "--hi", "65537"]) == 0
+    full, state = out.read_bytes(), ck.read_bytes()
+    assert state == b"65537 271\n"
+    # 65537 lies in [10000, 140000] but is no chunk end of that job
+    assert cli.run(argv + ["--lo", "10000", "--hi", "140000"]) == 2
+    assert out.read_bytes() == full and ck.read_bytes() == state
+
+
 def test_expand_checkpoint_of_another_root(tmp_path):
     ck = tmp_path / "frontier.ck"
     argv = ["expand", "--max-level", "3", "--checkpoint", str(ck)]

@@ -370,6 +370,12 @@ def test_checkpoint_validation(tmp_path):
     for cfg in (ms.SearchConfig(2, 1000), ms.SearchConfig(3001, 5000)):
         with pytest.raises(ValueError):
             ms.resume_point(cfg, str(ck))
+    # inside [lo, hi] but not one of the job's chunk ends: another job
+    ck.write_text("65537 271\n")
+    assert ms.resume_point(ms.SearchConfig(2, 140_000), str(ck)) == (65538,
+                                                                     271)
+    with pytest.raises(ValueError):
+        ms.resume_point(ms.SearchConfig(10_000, 140_000), str(ck))
 
 
 def test_search_config_validation():
