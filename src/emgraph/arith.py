@@ -5,8 +5,8 @@ extraction by a remainder tree under the product of the small primes, a
 staged factoring ladder (small primes, a short pass of
 Brent's cycle method, elliptic curves with Montgomery's stage 2, then a
 long Brent pass) backed by a persistent factor cache, modular inverses,
-Chinese remaindering, and a segmented squarefree enumerator that never
-falls back to general factoring.
+a segmented squarefree enumerator that never falls back to general
+factoring, and the durable file write behind every checkpoint.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -22,10 +23,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 class NotInvertible(ValueError):
     """Raised when an inverse is requested for a non-unit residue."""
-
-
-class ModuliNotCoprime(ValueError):
-    """Raised when remaindering is attempted over non-coprime moduli."""
 
 
 class NotSquarefree(ValueError):
@@ -289,6 +286,24 @@ class FactorCache:
 
     def __len__(self) -> int:
         return len(self._known)
+
+
+def write_durably(path: str, text: str) -> None:
+    """Replace the file at ``path`` by one holding ``text``: it is written
+    beside ``path``, flushed and fsynced, renamed over it, and the rename
+    fsynced through the directory, so a crash leaves the old file or the
+    new one whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -685,24 +700,6 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a % m, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} has no inverse modulo {m}") from None
-
-
-def crt(congruences: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Solve simultaneous congruences with pairwise coprime moduli.
-
-    Returns (r, M) with M the product of the moduli and r in [0, M).
-    """
-    a, M = 0, 1
-    for r, m in congruences:
-        if m < 2:
-            raise ValueError("moduli must be >= 2")
-        g = math.gcd(M, m)
-        if g != 1:
-            raise ModuliNotCoprime(f"moduli share a factor of {g}")
-        t = (r - a) * pow(M, -1, m) % m
-        a += M * t
-        M *= m
-    return a, M
 
 
 @functools.lru_cache(maxsize=4)

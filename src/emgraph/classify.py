@@ -132,11 +132,6 @@ def fib_poly(n: int, x: int) -> int:
     return a
 
 
-def lucas_poly(n: int, x: int) -> int:
-    """Lucas polynomial L_n = F_{n+1} + F_{n-1} at integer x."""
-    return fib_poly(n + 1, x) + fib_poly(n - 1, x)
-
-
 def _witness_of(p1: int, p2: int, p3: int) -> Optional[TripleWitness]:
     if p2 != 0:
         if (p3 - p1) % p2:

@@ -68,7 +68,7 @@ def _record_csv_row(r: PairRecord, density: object = "") -> str:
         " ".join(str(v) for v in r.p.primes),
         " ".join(str(v) for v in r.q.primes),
         str(r.modulus),
-        " ".join(str(rc.a) for rc in r.residues),
+        str(r.a),
         r.kind,
         str(density),
     ])
@@ -223,13 +223,17 @@ def _cmd_chains(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
-    st = graph.simulate_growth_model(args.k, args.trials, args.seed)
-    _emit_json(out, {
-        "k_max": str(st.k_max), "trials": str(st.trials),
-        "seed": str(st.seed),
-        "ratios": [repr(r) for r in st.ratios],
-        "mean": repr(st.mean), "stddev": repr(st.stddev),
-    })
+    # every k runs before the first line is written, so a k that is
+    # rejected leaves --out as it was
+    runs = [graph.simulate_growth_model(k, args.trials, args.seed)
+            for k in args.k]
+    for st in runs:
+        _emit_json(out, {
+            "k_max": str(st.k_max), "trials": str(st.trials),
+            "seed": str(st.seed),
+            "ratios": [repr(r) for r in st.ratios],
+            "mean": repr(st.mean), "stddev": repr(st.stddev),
+        })
     return 0
 
 
@@ -243,14 +247,13 @@ def _cmd_tables(args: argparse.Namespace, out: TextIO) -> int:
                 continue
             try:
                 rec = PairRecord.from_json_line(line)
-                # the records layer derives kind and residue; PairRecord
-                # cannot check the kind, as classify imports tuples
+                # the records layer derives the kind; PairRecord cannot
+                # check it, as classify imports tuples
                 built = modsearch._records_for(
-                    rec.modulus, [(rec.p.primes, rec.q.primes)])
+                    [(rec.p.primes, rec.q.primes)])
                 if [rec] != built:
                     raise ValueError("the search writes this pair with kind "
-                                     f"{built[0].kind!r} and the one "
-                                     f"residue {built[0].residues[0].a}")
+                                     f"{built[0].kind!r}")
                 records.append(rec)
             except ValueError as exc:
                 raise ValueError(f"{args.records or '<stdin>'}:{lineno}: "
@@ -322,8 +325,9 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, default=1 << 16)
     p.add_argument("--max-level", type=int, default=10)
 
-    p = command("simulate", _cmd_simulate, "growth model statistics")
-    p.add_argument("--k", type=int, required=True)
+    p = command("simulate", _cmd_simulate,
+                "growth model statistics, one line per k")
+    p.add_argument("--k", type=int, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 

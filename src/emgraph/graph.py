@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import random
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 # code that reaches the one-number form through graph keeps working
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
                     FactorCache, factor, is_prime, small_prime_factors,
-                    small_prime_factors_many)
+                    small_prime_factors_many, write_durably)
 from .tuples import ResidueClass, json_int
 
 
@@ -131,21 +130,18 @@ def save_frontier(path: str, root: int, level: int, policy: EffortPolicy,
                   summaries: Sequence[LevelSummary]) -> None:
     """Write a census checkpoint: a JSON header line, then one frontier
     value per line in decimal. The header carries the sha256 of the value
-    lines. The file is written beside ``path`` and renamed over it, so a
-    run killed mid-write keeps the last checkpoint whole."""
+    lines. ``write_durably`` writes it, so a run killed mid-write keeps
+    the last checkpoint whole."""
     body = "".join(f"{v}\n" for v in values)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "level": level,
-            "policy": _policy_fingerprint(policy),
-            "root": str(root),
-            "summaries": [[s.level, s.node_count, s.composite_count]
-                          for s in summaries],
-            "values_sha256": hashlib.sha256(body.encode()).hexdigest(),
-        }, sort_keys=True) + "\n")
-        fh.write(body)
-    os.replace(tmp, path)
+    header = json.dumps({
+        "level": level,
+        "policy": _policy_fingerprint(policy),
+        "root": str(root),
+        "summaries": [[s.level, s.node_count, s.composite_count]
+                      for s in summaries],
+        "values_sha256": hashlib.sha256(body.encode()).hexdigest(),
+    }, sort_keys=True)
+    write_durably(path, header + "\n" + body)
 
 
 def _int_triple(row: object) -> bool:

@@ -47,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import multiprocessing
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,11 +54,12 @@ from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
-                    NotSquarefree, is_prime, squarefree_stream)
+                    NotSquarefree, is_prime, squarefree_stream,
+                    write_durably)
 from .classify import (BlockCongruenceFailed, block_orderings, embed,
                        quadruple_case_of_pair)
-from .tuples import (PairRecord, PrimeTuple, ResidueClass,
-                     _share_proper_prefix, residue_base)
+from .tuples import (PairRecord, PrimeTuple, _share_proper_prefix,
+                     check_primes, residue_base)
 
 
 class IncompleteFactorization(ValueError):
@@ -221,12 +221,13 @@ def _backtrack(primes: Sequence[int],
     return sorted(pairs)
 
 
-def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
+def _records_for(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
                  ) -> list[PairRecord]:
+    """The records of pairs of orderings of one modulus's primes."""
     if not pairs:
         return []
-    # every pair orders the primes of m: check them once, not per record
-    PrimeTuple(pairs[0][0])
+    # every pair orders the same primes: check them once, not per record
+    check_primes(pairs[0][0])
     out = []
     base: dict[tuple[int, ...], int] = {}  # equivalent orderings share one
     for P, Q in pairs:
@@ -240,10 +241,8 @@ def _records_for(m: int, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
             tag = quadruple_case_of_pair(P, Q)
             if tag is not None:
                 kind = f"quadruple-case-{tag}"
-        rec = PairRecord(PrimeTuple._trusted(P), PrimeTuple._trusted(Q),
-                         (ResidueClass(a, m),), kind)
-        out.append(rec)
-    out.sort(key=lambda r: (r.residues[0].a, r.p.primes))
+        out.append(PairRecord(PrimeTuple(P), PrimeTuple(Q), a, kind))
+    out.sort(key=lambda r: (r.a, r.p.primes))
     return out
 
 
@@ -266,7 +265,7 @@ def search_modulus(m: int, fz: Factorization,
     must differ throughout, i.e. only genuine loops are kept.
     """
     primes = _require_squarefree(m, fz)
-    return _records_for(m, _pair_search(m, primes, irreducible_only))
+    return _records_for(_pair_search(m, primes, irreducible_only))
 
 
 def brute_force_pairs(m: int, fz: Factorization,
@@ -286,7 +285,7 @@ def brute_force_pairs(m: int, fz: Factorization,
         for P, Q in itertools.combinations(sorted(members), 2):
             if not (irreducible_only and _share_proper_prefix(P, Q)):
                 pairs.append((P, Q))
-    return _records_for(m, sorted(pairs))
+    return _records_for(sorted(pairs))
 
 
 # The blocks of each stock polynomial family at x; the family's value is
@@ -306,7 +305,7 @@ def generate_prime_triples(x_max: int) -> Iterator[PairRecord]:
     for x in range(1, x_max + 1):
         t = _FAMILY_BLOCKS["A"](x)
         if all(is_prime(v) for v in t):
-            yield from _records_for(prod(t), [(t, t[::-1])])
+            yield from _records_for([(t, t[::-1])])
 
 
 def manypairs_generator(q: int, x_max: int, mode: str = "A",
@@ -336,7 +335,7 @@ def manypairs_generator(q: int, x_max: int, mode: str = "A",
             continue
         # embed has checked equivalence; irreducible needs distinct prefixes
         if not _share_proper_prefix(P, Q):
-            yield from _records_for(value, [(P, Q)])
+            yield from _records_for([(P, Q)])
 
 
 def density_report(records: Sequence[PairRecord]) -> DensityReport:
@@ -346,10 +345,8 @@ def density_report(records: Sequence[PairRecord]) -> DensityReport:
     m = records[0].modulus
     if any(r.modulus != m for r in records):
         raise ValueError("records must share one modulus")
-    classes = {rc.a for r in records for rc in r.residues}
-    phi = 1
-    for p in records[0].p.primes:
-        phi *= p - 1
+    classes = {r.a for r in records}
+    phi = prod(p - 1 for p in records[0].p.primes)
     return DensityReport(m, len(classes), Fraction(phi, len(classes)))
 
 
@@ -360,7 +357,7 @@ def _search_chunk(args: tuple[int, int, int, int, bool]) -> list[PairRecord]:
                                        primes_only=True):
         pairs = _pair_search(m, primes, irreducible_only)
         if pairs:
-            out.extend(_records_for(m, pairs))
+            out.extend(_records_for(pairs))
     return out
 
 
@@ -383,10 +380,7 @@ def read_checkpoint(path: str) -> Optional[tuple[int, int]]:
 
 
 def _write_checkpoint(path: str, last: int, count: int) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"{last} {count}\n")
-    os.replace(tmp, path)
+    write_durably(path, f"{last} {count}\n")
 
 
 def resume_point(cfg: SearchConfig,

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .arith import is_prime, mod_inverse
 
@@ -27,44 +27,26 @@ class TupleTooLong(ValueError):
     """Raised when a factorial-cost operation is asked for k > 10."""
 
 
+def check_primes(ps: Sequence[int]) -> None:
+    """ValueError unless the entries of ``ps`` are distinct primes; run
+    where a tuple comes in from outside."""
+    if len(set(ps)) != len(ps):
+        raise ValueError("entries must be distinct")
+    for p in ps:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True, order=True)
 class PrimeTuple:
-    """Ordered tuple of distinct primes."""
+    """Ordered tuple of distinct primes, checked by ``check_primes``
+    before it is built."""
 
     primes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ps = self.primes
-        if len(set(ps)) != len(ps):
-            raise ValueError("entries must be distinct")
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-    @classmethod
-    def _trusted(cls, primes: tuple[int, ...]) -> "PrimeTuple":
-        """A tuple whose entries the caller has already checked, built
-        without the checks of ``__post_init__``."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "primes", primes)
-        return out
-
-    @property
-    def k(self) -> int:
-        return len(self.primes)
 
     @cached_property
     def modulus(self) -> int:
         return prod(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.primes) + ")"
-
-
-TupleLike = Union[PrimeTuple, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -80,9 +62,6 @@ class ResidueClass:
         if gcd(self.a, self.m) != 1:
             raise ValueError("residue not invertible")
 
-    def __str__(self) -> str:
-        return f"{self.a} mod {self.m}"
-
 
 def residue_base(primes: Iterable[int]) -> int:
     """Least nonnegative n with p_i | p_1...p_{i-1} n + 1 for every i."""
@@ -95,13 +74,13 @@ def residue_base(primes: Iterable[int]) -> int:
     return a
 
 
-def residue_class(P: TupleLike) -> ResidueClass:
+def residue_class(P: Sequence[int]) -> ResidueClass:
     """The arithmetic progression of starting values admitting path P."""
     ps = tuple(P)
     return ResidueClass(residue_base(ps), prod(ps))
 
 
-def equivalent(P: TupleLike, Q: TupleLike) -> bool:
+def equivalent(P: Sequence[int], Q: Sequence[int]) -> bool:
     """True when P and Q are orderings of one prime set with equal classes."""
     ps, qs = tuple(P), tuple(Q)
     if sorted(ps) != sorted(qs):
@@ -109,29 +88,20 @@ def equivalent(P: TupleLike, Q: TupleLike) -> bool:
     return residue_base(ps) == residue_base(qs)
 
 
-def reverse(P: PrimeTuple) -> PrimeTuple:
-    return PrimeTuple(tuple(P)[::-1])
-
-
-def _check_k(k: int) -> None:
-    if k > MAX_FACTORIAL_K:
-        raise TupleTooLong(f"k = {k} exceeds the factorial-search limit")
-
-
-def multiplicity(P: TupleLike) -> int:
+def multiplicity(P: Sequence[int]) -> int:
     """Number of orderings of P's primes sharing P's residue class."""
     return len(equivalence_class(P))
 
 
-def equivalence_class(P: TupleLike) -> list[PrimeTuple]:
+def equivalence_class(P: Sequence[int]) -> list[tuple[int, ...]]:
     """All orderings equivalent to P, including P itself, sorted."""
     ps = tuple(P)
-    _check_k(len(ps))
+    if len(ps) > MAX_FACTORIAL_K:
+        raise TupleTooLong(f"k = {len(ps)} exceeds the factorial-search limit")
+    check_primes(ps)
     target = residue_base(ps)
-    out = [PrimeTuple(q) for q in itertools.permutations(ps)
-           if residue_base(q) == target]
-    out.sort()
-    return out
+    return sorted(q for q in itertools.permutations(ps)
+                  if residue_base(q) == target)
 
 
 def _share_proper_prefix(ps: Sequence[int], qs: Sequence[int]) -> bool:
@@ -145,7 +115,7 @@ def _share_proper_prefix(ps: Sequence[int], qs: Sequence[int]) -> bool:
     return False
 
 
-def is_irreducible_pair(P: TupleLike, Q: TupleLike) -> bool:
+def is_irreducible_pair(P: Sequence[int], Q: Sequence[int]) -> bool:
     """Two equivalent distinct orderings whose proper prefix products differ.
 
     Such a pair forms a loop meeting only at its endpoints.
@@ -172,13 +142,14 @@ def json_int(v: object, key: str) -> int:
 class PairRecord:
     """An unordered equivalent pair of orderings, canonically arranged.
 
-    ``residues`` lists the residue class shared by the two sides; ``kind``
-    tags the structural family (triple, quadruple case I to IV, general).
+    ``a`` is the base of the one residue class that the two sides pin;
+    ``kind`` tags the structural family (triple, quadruple case I to IV,
+    general).
     """
 
     p: PrimeTuple
     q: PrimeTuple
-    residues: tuple[ResidueClass, ...] = field(default=())
+    a: int
     kind: str = "general"
 
     def __post_init__(self) -> None:
@@ -186,24 +157,22 @@ class PairRecord:
             lo, hi = self.q, self.p
             object.__setattr__(self, "p", lo)
             object.__setattr__(self, "q", hi)
-        if not self.residues:
-            rc = residue_class(self.p)
-            object.__setattr__(self, "residues", (rc,))
 
     @property
     def modulus(self) -> int:
         return self.p.modulus
 
     @property
-    def irreducible(self) -> bool:
-        return is_irreducible_pair(self.p, self.q)
+    def residues(self) -> tuple[ResidueClass]:
+        """The pair's one residue class, as a 1-tuple."""
+        return (ResidueClass(self.a, self.modulus),)
 
     def to_json_obj(self) -> dict:
         return {
             "p": [str(v) for v in self.p.primes],
             "q": [str(v) for v in self.q.primes],
             "modulus": str(self.modulus),
-            "residues": [str(rc.a) for rc in self.residues],
+            "residues": [str(self.a)],
             "kind": self.kind,
         }
 
@@ -216,8 +185,9 @@ class PairRecord:
         """Parse a record, raising ValueError unless it is a JSON object
         with lists ``p``, ``q`` and ``residues`` of integers, an integer
         ``modulus`` and a string ``kind`` if any, and is self-consistent:
-        the modulus is the product of p, p and q are distinct equivalent
-        orderings, and every residue is the class that p pins."""
+        p is distinct primes, the modulus is their product, p and q are
+        distinct equivalent orderings, and ``residues`` is exactly the
+        one class that p pins."""
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
         for key in ("p", "q", "modulus", "residues"):
@@ -229,21 +199,23 @@ class PairRecord:
         kind = obj.get("kind", "general")
         if not isinstance(kind, str):
             raise ValueError(f"'kind' has {kind!r}, not a string")
-        p = PrimeTuple(tuple(json_int(v, "p") for v in obj["p"]))
-        q = PrimeTuple(tuple(json_int(v, "q") for v in obj["q"]))
+        p = tuple(json_int(v, "p") for v in obj["p"])
+        q = tuple(json_int(v, "q") for v in obj["q"])
+        check_primes(p)
         m = json_int(obj["modulus"], "modulus")
-        if m != p.modulus:
+        if m != prod(p):
             raise ValueError(f"modulus {m} is not the product of {p}")
         if p == q:
             raise ValueError(f"{p} is paired with itself")
+        # equivalent orderings of p's primes need no check_primes of q
         if not equivalent(p, q):
             raise ValueError(f"{p} and {q} are not equivalent orderings")
-        residues = tuple(ResidueClass(json_int(a, "residues"), m)
-                         for a in obj["residues"])
-        rc = residue_class(p)
-        if any(r != rc for r in residues):
-            raise ValueError(f"a residue of {p} differs from {rc}")
-        return PairRecord(p, q, residues, kind)
+        residues = [json_int(v, "residues") for v in obj["residues"]]
+        a = residue_base(p)
+        if residues != [a]:
+            raise ValueError(f"'residues' has {residues}, not the one "
+                             f"class [{a}] that {p} pins")
+        return PairRecord(PrimeTuple(p), PrimeTuple(q), a, kind)
 
     @staticmethod
     def from_json_line(line: str) -> "PairRecord":

@@ -180,7 +180,7 @@ def test_criterion_10_loop_self_consistency():
             primes = tuple(sorted(factor(rc.m).primes))
             for ordering in tp.equivalence_class(primes):
                 if tp.residue_class(ordering).a == rc.a:
-                    assert gr.verify_path(nd.value, ordering.primes)
+                    assert gr.verify_path(nd.value, ordering)
         # the same machinery on a root known to head a loop class
         dup = {}
         for nd in gr.bounded_explore([19], 7, 3):

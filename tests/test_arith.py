@@ -506,28 +506,6 @@ def test_mod_inverse_property(m, a):
         assert 1 <= x < m and a * x % m == 1
 
 
-def test_crt_examples():
-    assert arith.crt([(1, 2), (1, 3), (4, 5)]) == (19, 30)
-    assert arith.crt([(0, 7)]) == (0, 7)
-    with pytest.raises(arith.ModuliNotCoprime):
-        arith.crt([(1, 4), (3, 6)])
-
-
-@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1,
-                max_size=6),
-       st.integers(min_value=0, max_value=5))
-@settings(max_examples=200, deadline=None)
-def test_crt_property(residues, skip):
-    # build pairwise coprime moduli from distinct primes
-    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29][skip:]
-    congruences = [(r % p, p) for r, p in zip(residues, pool)]
-    r, M = arith.crt(congruences)
-    assert 0 <= r < M
-    assert M == math.prod(p for _, p in congruences)
-    for res, mod in congruences:
-        assert r % mod == res
-
-
 # squarefree stream ------------------------------------------------------
 
 def test_squarefree_stream_examples():

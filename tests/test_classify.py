@@ -167,7 +167,6 @@ def test_fib_poly_examples():
     assert cf.fib_poly(0, 9) == 0
     assert cf.fib_poly(3, 2) == 5
     assert cf.fib_poly(-3, 2) == 5
-    assert cf.lucas_poly(2, 1) == 3
 
 
 def test_fib_identities_exact():

@@ -300,6 +300,16 @@ def test_simulate_deterministic_output():
     assert obj["k_max"] == "500" and len(obj["ratios"]) == 3
 
 
+def test_simulate_several_k_is_the_single_k_runs_in_order():
+    args = ["--trials", "3", "--seed", "11"]
+    code, both = run_capture(["simulate", "--k", "500", "40", *args])
+    code1, out1 = run_capture(["simulate", "--k", "500", *args])
+    code2, out2 = run_capture(["simulate", "--k", "40", *args])
+    assert code == code1 == code2 == 0
+    assert both == out1 + out2
+    assert [json.loads(l)["k_max"] for l in both.splitlines()] == ["500", "40"]
+
+
 def test_tables_csv(tmp_path):
     recs = tmp_path / "recs.jsonl"
     assert cli.run(["search-pairs", "--lo", "2", "--hi", "2000",
@@ -340,6 +350,7 @@ GOOD_RECORD = ('{"kind":"triple","modulus":"30","p":["2","3","5"],'
     GOOD_RECORD.replace('"triple"', '"a,b"'),          # not its kind
     GOOD_RECORD.replace('"triple"', '"quadruple-case-I"'),
     GOOD_RECORD.replace('["19"]', '["19","19"]'),      # a repeated residue
+    GOOD_RECORD.replace('["19"]', '[]'),               # no residue
 ])
 @pytest.mark.parametrize("from_stdin", [False, True])
 def test_tables_malformed_record_exit_two(tmp_path, monkeypatch, capsys,
@@ -394,7 +405,7 @@ def test_repeated_watch_class_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_input", ["policy file", "cache line",
-                                       "watch file"])
+                                       "watch file", "second k"])
 def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     out = tmp_path / "kept.jsonl"
     out.write_text("kept\n")
@@ -406,9 +417,11 @@ def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     elif bad_input == "cache line":
         bad.write_text("not a cache line\n")
         argv = ["sequence", "--steps", "3", "--cache", str(bad)]
-    else:  # a missing file
+    elif bad_input == "watch file":  # a missing file
         argv = ["explore", "--bound", "5", "--max-level", "2",
                 "--watch", str(bad)]
+    else:  # the first k is good
+        argv = ["simulate", "--k", "5", "0", "--trials", "1", "--seed", "1"]
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert out.read_text() == "kept\n"
 

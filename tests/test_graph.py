@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import stat
 
 import pytest
 
+from emgraph import arith
 from emgraph import graph as gr
+from emgraph import modsearch as ms
 from emgraph import tuples as tp
 from emgraph.arith import (EffortPolicy, FactorCache, factor, is_prime,
                            sieve_primes)
@@ -142,6 +146,43 @@ def test_save_frontier_killed_mid_write_keeps_old_checkpoint(tmp_path):
         gr.save_frontier(str(ck), 1, 7, gr.DEFAULT_POLICY, values(),
                          summaries)
     assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("writer", ["write_durably", "search", "census"])
+def test_checkpoint_fsynced_before_rename(tmp_path, monkeypatch, writer):
+    # the new file reaches the disk before it replaces the old one, and
+    # the rename itself is made durable through the directory
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                      else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ck = tmp_path / "ck"
+    if writer == "write_durably":
+        arith.write_durably(str(ck), "12 3\n")
+        want = b"12 3\n"
+    elif writer == "search":
+        ms._write_checkpoint(str(ck), 65537, 271)
+        want = b"65537 271\n"
+    else:
+        gr.save_frontier(str(ck), 1, 0, gr.DEFAULT_POLICY, [1],
+                         [gr.LevelSummary(0, 1, 0)])
+        want = None
+    assert events == ["fsync file", "replace", "fsync dir"]
+    assert list(tmp_path.iterdir()) == [ck]
+    if want is not None:
+        assert ck.read_bytes() == want
+    else:
+        assert gr.load_frontier(str(ck))[4] == [1]
 
 
 def test_bfs_levels_deterministic():
@@ -325,7 +366,7 @@ def test_watch_hit_admits_all_class_paths():
     a, m = 19, 30
     node = gr.Node(a)
     for t in tp.equivalence_class((2, 3, 5)):
-        assert gr.verify_path(node.value, t.primes)
+        assert gr.verify_path(node.value, t)
 
 
 # path verification -------------------------------------------------------------

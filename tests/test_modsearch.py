@@ -68,10 +68,21 @@ def test_search_records_verify():
     for m in (30, 210, 546, 858, 1722, 4930, 5590, 6882):
         for rec in ms.search_modulus(m, factor(m)):
             assert tp.equivalent(rec.p.primes, rec.q.primes)
-            assert rec.irreducible
-            a = rec.residues[0].a
+            assert tp.is_irreducible_pair(rec.p.primes, rec.q.primes)
+            a = rec.a
             assert verify_path(a, rec.p.primes)
             assert verify_path(a, rec.q.primes)
+
+
+def test_record_surface_the_benchmark_reads():
+    # perfbench's workloads read these attributes of pair records
+    line = ('{"kind":"triple","modulus":"30","p":["2","3","5"],'
+            '"q":["5","3","2"],"residues":["19"]}')
+    rec = tp.PairRecord.from_json_line(line)
+    assert rec.p.primes == (2, 3, 5) and rec.q.primes == (5, 3, 2)
+    assert rec.residues == (tp.ResidueClass(19, 30),)
+    recs = ms.brute_force_pairs(30, factor(30), irreducible_only=True)
+    assert [r.residues[0].a for r in recs] == [r.a for r in recs] == [19, 29]
 
 
 # brute force oracle ---------------------------------------------------------
@@ -236,7 +247,8 @@ def test_generate_prime_triples():
     assert any(r.p.primes == (211, 197, 2969) for r in recs)
     assert list(ms.generate_prime_triples(0)) == []
     for r in recs:
-        assert r.kind == "triple" and r.irreducible
+        assert r.kind == "triple"
+        assert tp.is_irreducible_pair(r.p.primes, r.q.primes)
 
 
 def test_manypairs_modes():
@@ -245,10 +257,10 @@ def test_manypairs_modes():
     assert all(r.modulus != 595 for r in ms.manypairs_generator(595, 2, "A"))
     assert any(r.modulus == 30 for r in ms.manypairs_generator(2, 2, "B"))
     for r in ms.manypairs_generator(1, 25, "A"):
-        assert r.irreducible
+        assert tp.is_irreducible_pair(r.p.primes, r.q.primes)
         assert tp.equivalent(r.p.primes, r.q.primes)
     for r in ms.manypairs_generator(6, 25, "B"):
-        assert r.irreducible
+        assert tp.is_irreducible_pair(r.p.primes, r.q.primes)
         assert r.modulus % 6 == 0
 
 
@@ -291,8 +303,7 @@ def test_density_full_group_210():
 
 def test_density_reduced_fraction():
     base = ms.search_modulus(30, factor(30))
-    extra = tp.PairRecord(base[0].p, base[0].q,
-                          (tp.ResidueClass(1, 30),), "general")
+    extra = tp.PairRecord(base[0].p, base[0].q, 1, "general")
     rep = ms.density_report(base + [extra])
     assert rep.class_count == 3
     assert rep.inverse_density == Fraction(8, 3)

@@ -1,6 +1,7 @@
 """Tests for tuple equivalence, multiplicity, and pair records."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -101,10 +102,10 @@ def test_multiplicity_guard():
 
 def test_equivalence_class_examples():
     cls = tp.equivalence_class((2, 3, 5))
-    assert [c.primes for c in cls] == [(2, 3, 5), (5, 3, 2)]
+    assert cls == [(2, 3, 5), (5, 3, 2)]
     cls = tp.equivalence_class((2, 5, 7, 3))
-    assert sorted(c.primes for c in cls) == [(2, 5, 7, 3), (3, 7, 2, 5)]
-    assert [c.primes for c in tp.equivalence_class((7,))] == [(7,)]
+    assert sorted(cls) == [(2, 5, 7, 3), (3, 7, 2, 5)]
+    assert tp.equivalence_class((7,)) == [(7,)]
 
 
 def test_no_multiple_pairs_or_singletons():
@@ -129,12 +130,6 @@ def test_small_tuples_multiplicity_at_most_two():
 
 
 # reversal ---------------------------------------------------------------
-
-def test_reverse_examples():
-    assert tp.reverse(tp.PrimeTuple((2, 3, 5))).primes == (5, 3, 2)
-    assert tp.reverse(tp.PrimeTuple((7,))).primes == (7,)
-    assert tp.reverse(tp.PrimeTuple((2, 5, 7, 3))).primes == (3, 7, 5, 2)
-
 
 @given(distinct_prime_tuples(PRIMES_100, 4),
        st.permutations(range(4)))
@@ -172,9 +167,10 @@ def test_is_irreducible_pair_symmetric():
 
 def test_pair_record_canonical_and_roundtrip():
     r = tp.PairRecord(tp.PrimeTuple((5, 3, 2)), tp.PrimeTuple((2, 3, 5)),
-                     kind="triple")
+                      19, kind="triple")
     assert r.p.primes == (2, 3, 5) and r.q.primes == (5, 3, 2)
-    assert r.modulus == 30 and r.residues[0].a == 19
+    assert r.modulus == 30 and r.a == 19
+    assert r.residues == (tp.ResidueClass(19, 30),)
     again = tp.PairRecord.from_json_line(r.to_json_line())
     assert again == r
     assert again.to_json_line() == r.to_json_line()
@@ -184,7 +180,8 @@ def test_pair_record_large_values_roundtrip():
     primes, m, residues, case = QUADRUPLE_ROWS[-1]
     a, b, c, d = primes
     assert case == "II"  # whose class pairs (a, b, c, d) with (d, c, a, b)
-    r = tp.PairRecord(tp.PrimeTuple(primes), tp.PrimeTuple((d, c, a, b)))
+    r = tp.PairRecord(tp.PrimeTuple(primes), tp.PrimeTuple((d, c, a, b)),
+                      tp.residue_base(primes))
     again = tp.PairRecord.from_json_line(r.to_json_line())
     assert again.modulus == m == r.modulus
 
@@ -197,7 +194,7 @@ def test_pair_record_large_values_roundtrip():
 ])
 def test_pair_record_rejects_inconsistent_record(field, value):
     obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
-                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
+                        tp.PrimeTuple((5, 3, 2)), 19).to_json_obj()
     tp.PairRecord.from_json_obj(obj)
     obj[field] = value
     with pytest.raises(ValueError):
@@ -212,7 +209,7 @@ def test_pair_record_rejects_inconsistent_record(field, value):
 ])
 def test_pair_record_rejects_wrong_type(field, value):
     obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
-                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
+                        tp.PrimeTuple((5, 3, 2)), 19).to_json_obj()
     obj[field] = value
     with pytest.raises(ValueError, match=repr(field)):
         tp.PairRecord.from_json_obj(obj)
@@ -227,7 +224,7 @@ def test_pair_record_rejects_non_object(obj):
 @pytest.mark.parametrize("key", ["p", "q", "modulus", "residues"])
 def test_pair_record_rejects_missing_field(key):
     obj = tp.PairRecord(tp.PrimeTuple((2, 3, 5)),
-                        tp.PrimeTuple((5, 3, 2))).to_json_obj()
+                        tp.PrimeTuple((5, 3, 2)), 19).to_json_obj()
     del obj[key]
     with pytest.raises(ValueError, match=f"no '{key}'"):
         tp.PairRecord.from_json_obj(obj)
@@ -236,14 +233,33 @@ def test_pair_record_rejects_missing_field(key):
 def test_pair_record_accepts_json_integers():
     obj = {"p": [2, 3, 5], "q": [5, 3, 2], "modulus": 30, "residues": [19]}
     assert tp.PairRecord.from_json_obj(obj) == tp.PairRecord(
-        tp.PrimeTuple((2, 3, 5)), tp.PrimeTuple((5, 3, 2)))
+        tp.PrimeTuple((2, 3, 5)), tp.PrimeTuple((5, 3, 2)), 19)
 
 
-def test_prime_tuple_validation():
-    with pytest.raises(ValueError):
-        tp.PrimeTuple((2, 2, 3))
-    with pytest.raises(ValueError):
-        tp.PrimeTuple((4, 3))
+@pytest.mark.parametrize("residues", [[], ["19", "19"], ["1"], ["49"]])
+def test_pair_record_requires_the_one_residue(residues):
+    obj = {"p": ["2", "3", "5"], "q": ["5", "3", "2"], "modulus": "30",
+           "residues": residues}
+    with pytest.raises(ValueError, match="'residues' has .* not the one "
+                                         r"class \[19\]"):
+        tp.PairRecord.from_json_obj(obj)
+
+
+def test_check_primes_at_input_boundary():
+    # PrimeTuple holds its primes unchecked; each way a tuple comes in
+    # from outside runs check_primes
+    tp.check_primes((2, 3, 5))
+    for primes, message in [((2, 2, 3), "entries must be distinct"),
+                            ((4, 3), "4 is not prime")]:
+        with pytest.raises(ValueError, match=message):
+            tp.check_primes(primes)
+        with pytest.raises(ValueError, match=message):
+            tp.equivalence_class(primes)
+        p = [str(v) for v in primes]
+        obj = {"p": p, "q": p[::-1], "modulus": str(math.prod(primes)),
+               "residues": ["1"]}
+        with pytest.raises(ValueError, match=message):
+            tp.PairRecord.from_json_obj(obj)
 
 
 def test_coprime_rows_residues_are_invertible():
