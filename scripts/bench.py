@@ -12,6 +12,9 @@ Jobs:
   growth   simulate_growth_model(10**6, 20, 12345), the size of acceptance
            criterion 11. Keeps the sha256 of the ratios' hex strings
            joined by spaces.
+  pairs    search_range over [2, 2**22] for irreducible pairs on one
+           worker. Keeps the record count, the records per tuple size k
+           and the sha256 of the JSONL output.
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -32,10 +35,12 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from emgraph.arith import EffortPolicy
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
+from emgraph.modsearch import SearchConfig, search_range
 
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
@@ -65,6 +70,15 @@ JOBS = {
         lambda p: simulate_growth_model(p["k_max"], p["trials"], p["seed"]),
         lambda stats: {"ratios_sha256": _sha256(
             " ".join(r.hex() for r in stats.ratios))}),
+    "pairs": (
+        {"lo": 2, "hi": 1 << 22, "workers": 1},
+        lambda p: list(search_range(SearchConfig(
+            p["lo"], p["hi"], worker_count=p["workers"]))),
+        lambda recs: {"records": len(recs),
+                      "per_k": {str(k): n for k, n in sorted(Counter(
+                          len(r.p.primes) for r in recs).items())},
+                      "jsonl_sha256": _sha256("".join(
+                          r.to_json_line() + "\n" for r in recs))}),
 }
 
 

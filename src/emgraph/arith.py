@@ -314,6 +314,15 @@ def sieve_primes(limit: int) -> list[int]:
                                    _prime_flags(0, limit + 1)))
 
 
+def spf_table(limit: int) -> list[int]:
+    """spf[d] is the smallest prime factor of d, for 2 <= d <= limit."""
+    spf = list(range(limit + 1))
+    # larger primes first, so the smallest prime of d writes spf[d] last
+    for p in reversed(sieve_primes(math.isqrt(limit))):
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
+
+
 def _prime_flags(lo: int, hi: int) -> bytearray:
     """flags[i] == 1 exactly when lo + i is prime, for lo <= lo + i < hi."""
     flags = bytearray([1]) * (hi - lo)

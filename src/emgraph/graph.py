@@ -286,12 +286,25 @@ def bounded_explore(roots: Sequence[Union[Node, int]], bound: int,
 
 def watch_hits(nodes: Iterable[Node], w: WatchList
                ) -> Iterator[tuple[Node, ResidueClass]]:
-    """Nodes landing in a watched residue class: each is a loop base."""
+    """Nodes landing in a watched residue class: each is a loop base.
+
+    Per node the hits come in the order of ``w.classes``. Each node takes
+    one remainder per distinct modulus, which lands in at most one of its
+    classes.
+    """
+    by_modulus: dict[int, dict[int, ResidueClass]] = {}
+    for rc in w.classes:
+        by_modulus.setdefault(rc.m, {})[rc.a] = rc
+    groups = list(by_modulus.items())
+    order = {rc: i for i, rc in enumerate(w.classes)}.__getitem__
     for nd in nodes:
         v = nd.value
-        for rc in w.classes:
-            if v % rc.m == rc.a:
-                yield nd, rc
+        hits = [rc for m, classes in groups
+                if (rc := classes.get(v % m)) is not None]
+        if len(hits) > 1:
+            hits.sort(key=order)
+        for rc in hits:
+            yield nd, rc
 
 
 def verify_path(n: int, primes: Sequence[int]) -> bool:

@@ -24,12 +24,27 @@ Every prime p of m must therefore see two distinct subsets of the other
 primes with equal product mod p. The irreducible search checks this
 first, largest prime first, and returns nothing when some prime sees
 all 2^(k-1) subset products distinct. A prime p <= 2^(k-1) always
-passes, having more subsets than nonzero residues. In windows above 1e8
-the check rejected every modulus with three or four primes and nearly
-all with five; below 1e5 it rejects far fewer. For the moduli that
-pass, the same residue tables prune the walk: the prime placed next
-must collide at its predecessor set, and every unplaced prime must
-still have a colliding set containing the primes placed so far.
+passes, having more subsets than nonzero residues.
+
+For the largest prime r of m = n*r the rule bounds r. Cancelling the
+primes common to S and T leaves disjoint sets A != B of primes of n with
+r dividing prod(A) - prod(B), a nonzero integer below n in size; so
+r < n and r^2 < m, and no modulus with P(m)^2 > m has an irreducible
+pair. The irreducible search of a wide range [lo, hi] therefore sieves
+nothing: a depth-first walk over squarefree n with n*P(n) < hi lists the
+primes r in (P(n), min(n, hi/n)] that divide such a difference, taken
+from a smallest-prime-factor table when n <= sqrt(hi) and otherwise
+(where r < sqrt(hi)) from a gcd with the primes in range, and only the
+moduli n*r reach the search. The walk visits about hi^0.7 values of n
+whatever the width, so a range narrower than hi^(3/4) sieves its
+integers instead, as the reducible search always does. Both sources
+hand each modulus to the same filter and walk, so their records agree
+byte for byte.
+
+For the moduli that pass the filter, the same residue tables prune the
+walk: the prime placed next must collide at its predecessor set, and
+every unplaced prime must still have a colliding set containing the
+primes placed so far.
 Reducible pairs may share predecessor sets, so the search that keeps
 them uses neither rule and files all k! orderings. Memory grows with
 the orderings filed: the products of the first nine and ten primes
@@ -44,18 +59,21 @@ here too, so every pair record is built by ``_records_for``.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import multiprocessing
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
-from typing import Iterator, Optional, Sequence
+from math import gcd, isqrt, prod
+from operator import sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
-                    NotSquarefree, is_prime, squarefree_stream,
-                    write_durably)
+                    NotSquarefree, is_prime, sieve_primes, spf_table,
+                    squarefree_stream, write_durably)
 from .classify import (BlockCongruenceFailed, block_orderings, embed,
                        quadruple_case_of_pair)
 from .tuples import (PairRecord, PrimeTuple, _share_proper_prefix,
@@ -350,11 +368,105 @@ def density_report(records: Sequence[PairRecord]) -> DensityReport:
     return DensityReport(m, len(classes), Fraction(phi, len(classes)))
 
 
-def _search_chunk(args: tuple[int, int, int, int, bool]) -> list[PairRecord]:
-    lo, hi, min_k, coprime_to, irreducible_only = args
+def _largest_prime_candidates(lo: int, hi: int, min_k: int, coprime_to: int,
+                              ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(primes of n, primes r) for every squarefree n, where each n*r lies
+    in [lo, hi] and every modulus there with an irreducible pair, at least
+    ``min_k`` primes and no prime of ``coprime_to`` is one of the n*r.
+
+    r = P(n*r) must divide prod(A) - prod(B) for disjoint sets A != B of
+    primes of n (see the module docstring), so r < n and n*P(n) < hi.
+    Each pair (A, B) is kept once, as the subset products (x, y) with the
+    smallest prime of A | B in A.
+    """
+    root = isqrt(hi)
+    base = [p for p in sieve_primes(root) if coprime_to % p]
+    spf = spf_table(root)
+    need = max(2, min_k - 1)
+
+    def visit(i0: int, n: int, ps: tuple[int, ...], xs: list[int],
+              ys: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        if len(ps) >= need:
+            r_lo = max(ps[-1] + 1, -(-lo // n))
+            r_hi = min(n - 1, hi // n)
+            if r_lo <= r_hi:
+                if n <= root:  # every difference is below root
+                    found = set()
+                    for d in map(sub, xs, ys):
+                        d = abs(d)
+                        while d > 1:
+                            p = spf[d]
+                            if p >= r_lo:
+                                found.add(p)
+                            d //= p
+                    rs = sorted(p for p in found
+                                if p <= r_hi and coprime_to % p)
+                else:  # r <= hi/n < root, so the few primes in range
+                    rs = base[bisect.bisect_left(base, r_lo):
+                              bisect.bisect_right(base, r_hi)]
+                    if rs:
+                        g = gcd(prod(map(sub, xs, ys)), prod(rs))
+                        rs = [r for r in rs if g % r == 0] if g > 1 else []
+                if rs:
+                    yield ps, rs
+        for j in range(i0, len(base)):
+            q = base[j]
+            if n * q * q >= hi:
+                break
+            yield from visit(j + 1, n * q, ps + (q,),
+                             [*xs, *(x * q for x in xs), *xs, q],
+                             [*ys, *ys, *(y * q for y in ys), 1])
+
+    return visit(0, 1, (), [], [])
+
+
+def _generates_candidates(cfg: SearchConfig) -> bool:
+    """Whether a range search takes its moduli from the largest-prime
+    generator rather than the sieve.
+
+    The generator visits about hi^0.7 values of n whatever the width, so
+    it serves irreducible searches at least hi^(3/4) wide.
+    """
+    return cfg.irreducible_only and (cfg.hi - cfg.lo + 1) ** 4 >= cfg.hi ** 3
+
+
+def _candidate_chunks(cfg: SearchConfig, bounds: Sequence[tuple[int, int]],
+                      ) -> Iterator[tuple]:
+    """The ``_search_chunk`` arguments of the chunks ``bounds`` on the
+    generator path, each with its candidate moduli in increasing order.
+
+    The candidates are generated here, in the calling thread; each
+    chunk's list is built only when its arguments are drawn.
+    """
+    lo = bounds[0][0]
+    nodes: list[tuple[int, ...]] = []
+    # per chunk, flat (modulus, index of its n in nodes) pairs: 16 bytes a
+    # candidate, where a tuple with its prime list would take about 200
+    buckets = [array("q") for _ in bounds]
+    for ps, rs in _largest_prime_candidates(lo, cfg.hi, cfg.min_k,
+                                            cfg.coprime_to):
+        n = prod(ps)
+        for r in rs:
+            buckets[(n * r - lo) // _CHUNK].extend((n * r, len(nodes)))
+        nodes.append(ps)
+
+    def moduli(flat: array) -> list[tuple[int, list[int]]]:
+        return [(m, [*nodes[i], m // prod(nodes[i])])
+                for m, i in sorted(zip(flat[::2], flat[1::2]))]
+    return ((start, end, cfg.min_k, cfg.coprime_to, True, moduli(flat))
+            for (start, end), flat in zip(bounds, buckets))
+
+
+def _search_chunk(args: tuple) -> list[PairRecord]:
+    """The records of one chunk (lo, hi, min_k, coprime_to,
+    irreducible_only), from the sieve or, when a sixth item is given, from
+    that list of (modulus, primes) candidates."""
+    lo, hi, min_k, coprime_to, irreducible_only = args[:5]
+    moduli: Iterable[tuple[int, list[int]]] = (
+        args[5] if len(args) > 5 else
+        squarefree_stream(lo, hi, min_k, coprime_to, primes_only=True))
     out: list[PairRecord] = []
-    for m, primes in squarefree_stream(lo, hi, min_k, coprime_to,
-                                       primes_only=True):
+    for m, primes in moduli:
         pairs = _pair_search(m, primes, irreducible_only)
         if pairs:
             out.extend(_records_for(pairs))
@@ -416,21 +528,21 @@ def search_range(cfg: SearchConfig,
     lo, emitted = resume_point(cfg, checkpoint)
     if lo > cfg.hi:
         return
-    chunks = []
-    start = lo
-    while start <= cfg.hi:
-        end = min(start + _CHUNK - 1, cfg.hi)
-        chunks.append((start, end, cfg.min_k, cfg.coprime_to,
-                       cfg.irreducible_only))
-        start = end + 1
+    bounds = [(start, min(start + _CHUNK - 1, cfg.hi))
+              for start in range(lo, cfg.hi + 1, _CHUNK)]
 
     parallel = cfg.worker_count > 1
     with (multiprocessing.Pool(cfg.worker_count) if parallel
           else contextlib.nullcontext()) as pool:
+        # the workers fork before the candidates exist, so hold no copy
+        chunks: Iterable[tuple] = (
+            _candidate_chunks(cfg, bounds) if _generates_candidates(cfg)
+            else [(start, end, cfg.min_k, cfg.coprime_to,
+                   cfg.irreducible_only) for start, end in bounds])
         batches = (pool.imap(_search_chunk, chunks) if parallel
                    else map(_search_chunk, chunks))
-        for chunk, recs in zip(chunks, batches):
+        for (_, end), recs in zip(bounds, batches):
             yield from recs
             emitted += len(recs)
             if checkpoint is not None:
-                _write_checkpoint(checkpoint, chunk[1], emitted)
+                _write_checkpoint(checkpoint, end, emitted)

@@ -326,6 +326,20 @@ def test_watch_hits():
     assert list(gr.watch_hits([node], w)) == [(node, rc)]
 
 
+def test_watch_hits_match_a_scan_of_every_class():
+    # several classes per modulus, the moduli interleaved, and moduli that
+    # divide one another, so one node can land in classes of several
+    classes = [tp.ResidueClass(a, m) for a, m in
+               ((1, 6), (19, 30), (5, 6), (7, 10), (29, 30), (1, 10),
+                (3, 10), (23, 30), (1, 7), (3, 7))]
+    w = gr.WatchList(tuple(classes))
+    nodes = [gr.Node(v) for v in range(1, 400)]
+    want = [(nd, rc) for nd in nodes for rc in classes
+            if nd.value % rc.m == rc.a]
+    assert list(gr.watch_hits(nodes, w)) == want
+    assert any(a[0] == b[0] for a, b in zip(want, want[1:]))
+
+
 def test_watch_list_file_roundtrip(tmp_path):
     path = str(tmp_path / "watch.jsonl")
     w = gr.WatchList(tuple(tp.ResidueClass(a, m)

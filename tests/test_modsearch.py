@@ -1,8 +1,10 @@
 """Tests for the bounded-modulus pair search and its brute-force oracle."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,41 @@ def test_collision_lemma_on_coprime_rows():
             assert not ms._collision_free_prime(sorted(P))
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 4 * 65536 + 1),
+                                    (10 ** 8, 10 ** 8 + 3000)])
+def test_largest_prime_lemma(lo, hi):
+    # the largest prime r of m = n*r divides a nonzero difference of two
+    # subset products of n's primes, so r < n: with r^2 > m the filter
+    # always finds r collision-free
+    above = 0
+    for m, primes in squarefree_stream(lo, hi, primes_only=True):
+        if primes[-1] ** 2 > m:
+            above += 1
+            assert ms._collision_free_prime(primes), m
+    assert above > (hi - lo) // 4
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2 * 10 ** 5),
+                                    (10 ** 8, 10 ** 8 + 3000)])
+def test_generator_covers_what_the_filter_passes(lo, hi):
+    generated = [math.prod(ps) * r for ps, rs in
+                 ms._largest_prime_candidates(lo, hi, 3, 1) for r in rs]
+    assert len(generated) == len(set(generated))
+    assert all(lo <= m <= hi for m in generated)
+    passed = {m for m, primes in squarefree_stream(lo, hi, 3,
+                                                   primes_only=True)
+              if not ms._collision_free_prime(primes)}
+    assert passed and passed <= set(generated)
+
+
+def test_generator_emits_primes_in_order():
+    for ps, rs in ms._largest_prime_candidates(2, 10 ** 5, 4, 1806):
+        assert len(ps) >= 3 and list(ps) == sorted(ps) and rs == sorted(rs)
+        assert ps[-1] < rs[0] and rs[-1] < math.prod(ps)
+        assert all(math.gcd(p, 1806) == 1 for p in (*ps, *rs))
+        assert factor(math.prod(ps) * rs[-1]).primes == (*ps, rs[-1])
+
+
 def test_collision_masks_match_definition():
     primes = factor(4930).primes  # (2, 5, 17, 29)
     k = len(primes)
@@ -347,8 +384,38 @@ def test_search_range_worker_invariance():
     assert base == dual
 
 
+def _on_path(generate):
+    """Force the range search's source of moduli, for one block."""
+    return mock.patch.object(ms, "_generates_candidates",
+                             lambda cfg: generate)
+
+
+def test_generator_path_rule():
+    # wide irreducible ranges generate; windows and reducible ranges sieve
+    assert ms._generates_candidates(ms.SearchConfig(2, 4 * 65536 + 1))
+    assert ms._generates_candidates(ms.SearchConfig(10 ** 8, 2 * 10 ** 8))
+    assert not ms._generates_candidates(ms.SearchConfig(10 ** 8,
+                                                        10 ** 8 + 4999))
+    assert not ms._generates_candidates(
+        ms.SearchConfig(2, 4 * 65536 + 1, irreducible_only=False))
+
+
+@given(st.integers(2, 150_000), st.integers(0, 150_000),
+       st.sampled_from([3, 5]), st.sampled_from([1, 1806]))
+@settings(max_examples=25, deadline=None)
+def test_search_range_same_records_on_both_paths(lo, width, min_k,
+                                                  coprime_to):
+    cfg = ms.SearchConfig(lo, lo + width, min_k, coprime_to)
+    with _on_path(True):
+        generated = list(ms.search_range(cfg))
+    with _on_path(False):
+        sieved = list(ms.search_range(cfg))
+    assert generated == sieved
+
+
 def test_search_range_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "resume.txt")
+    assert ms._generates_candidates(ms.SearchConfig(2, 140_000))
     full = list(ms.search_range(ms.SearchConfig(2, 140_000)))
     first = []
     gen = ms.search_range(ms.SearchConfig(2, 140_000), checkpoint=ck)
@@ -366,6 +433,24 @@ def test_search_range_checkpoint_resume(tmp_path):
     # a finished job resumes to nothing
     assert list(ms.search_range(ms.SearchConfig(2, 140_000),
                                 checkpoint=ck)) == []
+
+
+@pytest.mark.parametrize("first, then", [(False, True), (True, False)])
+def test_resume_across_paths(tmp_path, first, then):
+    # a checkpoint marks chunk ends, which both paths share
+    cfg = ms.SearchConfig(30_000, 300_000, min_k=4, worker_count=2)
+    ck = str(tmp_path / "ck")
+    full = list(ms.search_range(cfg))
+    with _on_path(first):
+        gen = ms.search_range(cfg, checkpoint=ck)
+        head = [rec for rec in itertools.takewhile(
+            lambda rec: rec.modulus < 200_000, gen)]
+        gen.close()
+    last, count = ms.read_checkpoint(ck)
+    assert (last - cfg.lo + 1) % 65536 == 0 and 0 < count <= len(head)
+    with _on_path(then):
+        rest = list(ms.search_range(cfg, checkpoint=ck))
+    assert head[:count] + rest == full
 
 
 def test_checkpoint_validation(tmp_path):
