@@ -370,9 +370,10 @@ def density_report(records: Sequence[PairRecord]) -> DensityReport:
 
 def _largest_prime_candidates(lo: int, hi: int, min_k: int, coprime_to: int,
                               ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(primes of n, primes r) for every squarefree n, where each n*r lies
-    in [lo, hi] and every modulus there with an irreducible pair, at least
-    ``min_k`` primes and no prime of ``coprime_to`` is one of the n*r.
+    """(primes of n, primes r) with each n*r in [lo, hi], at least
+    ``min_k`` primes and no prime of ``coprime_to``. Every squarefree
+    modulus there with those properties and an irreducible pair is one
+    of the n*r.
 
     r = P(n*r) must divide prod(A) - prod(B) for disjoint sets A != B of
     primes of n (see the module docstring), so r < n and n*P(n) < hi.
@@ -390,7 +391,7 @@ def _largest_prime_candidates(lo: int, hi: int, min_k: int, coprime_to: int,
             r_lo = max(ps[-1] + 1, -(-lo // n))
             r_hi = min(n - 1, hi // n)
             if r_lo <= r_hi:
-                if n <= root:  # every difference is below root
+                if n <= root:  # every difference is below n <= root
                     found = set()
                     for d in map(sub, xs, ys):
                         d = abs(d)
@@ -399,8 +400,7 @@ def _largest_prime_candidates(lo: int, hi: int, min_k: int, coprime_to: int,
                             if p >= r_lo:
                                 found.add(p)
                             d //= p
-                    rs = sorted(p for p in found
-                                if p <= r_hi and coprime_to % p)
+                    rs = sorted(p for p in found if coprime_to % p)
                 else:  # r <= hi/n < root, so the few primes in range
                     rs = base[bisect.bisect_left(base, r_lo):
                               bisect.bisect_right(base, r_hi)]
