@@ -175,8 +175,8 @@ def _cmd_expand(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _node_obj(nd: graph.Node) -> dict:
-    return {"root": str(nd.root), "edges": [str(p) for p in nd.edge_primes],
+def _node_obj(nd: graph.Node, root: int) -> dict:
+    return {"root": str(root), "edges": [str(p) for p in nd.edge_primes],
             "level": str(nd.level), "value": str(nd.value)}
 
 
@@ -185,13 +185,13 @@ def _cmd_explore(args: argparse.Namespace, out: TextIO) -> int:
     if args.watch:
         w = graph.WatchList.load(args.watch)
         for nd, rc in graph.watch_hits(nodes, w):
-            obj = _node_obj(nd)
+            obj = _node_obj(nd, args.root)
             obj["hit_a"] = str(rc.a)
             obj["hit_m"] = str(rc.m)
             _emit_json(out, obj)
     else:
         for nd in nodes:
-            _emit_json(out, _node_obj(nd))
+            _emit_json(out, _node_obj(nd, args.root))
     return 0
 
 
@@ -218,7 +218,7 @@ def _cmd_sequence(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_chains(args: argparse.Namespace, out: TextIO) -> int:
     nodes = graph.bounded_explore([args.root], args.bound, args.max_level)
     for nd in graph.unique_chain_scan(nodes, args.ell):
-        _emit_json(out, _node_obj(nd))
+        _emit_json(out, _node_obj(nd, args.root))
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import repeat, starmap
 from operator import le
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # small_prime_factors is not called here; it stays a module attribute so
 # code that reaches the one-number form through graph keeps working
@@ -29,26 +29,18 @@ from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
 from .tuples import ResidueClass, json_int
 
 
-@dataclass(frozen=True)
-class Node:
-    """A graph node identified by its root and the edge primes to it."""
+class Node(NamedTuple):
+    """A graph node: its value and the edge primes of one path to it."""
 
-    root: int
+    value: int
     edge_primes: tuple[int, ...] = ()
 
     @property
     def level(self) -> int:
         return len(self.edge_primes)
 
-    @property
-    def value(self) -> int:
-        v = self.root
-        for p in self.edge_primes:
-            v *= p
-        return v
-
     def child(self, p: int) -> "Node":
-        return Node(self.root, self.edge_primes + (p,))
+        return Node(self.value * p, self.edge_primes + (p,))
 
 
 @dataclass(frozen=True)
@@ -98,12 +90,6 @@ class WatchList:
                     raise ValueError(f"{path}:{lineno}: bad watch line "
                                      f"{line!r}: {exc}") from None
         return WatchList(tuple(classes))
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rc in self.classes:
-                fh.write(json.dumps({"a": str(rc.a), "m": str(rc.m)},
-                                    sort_keys=True) + "\n")
 
 
 def expand_node(value: int, policy: EffortPolicy = DEFAULT_POLICY,
@@ -246,7 +232,7 @@ def bfs_levels(root: int, max_level: int,
     return summaries
 
 
-def bounded_explore(roots: Sequence[Union[Node, int]], bound: int,
+def bounded_explore(roots: Sequence[int], bound: int,
                     max_level: int) -> Iterator[Node]:
     """Breadth-first walk following only edges with prime <= bound.
 
@@ -261,7 +247,7 @@ def bounded_explore(roots: Sequence[Union[Node, int]], bound: int,
         raise ValueError("bound must be >= 2")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    frontier = [r if isinstance(r, Node) else Node(r) for r in roots]
+    frontier = [Node(r) for r in roots]
     seen = {nd.value for nd in frontier}
     if min(seen, default=1) < 1:
         raise ValueError("roots must be >= 1")

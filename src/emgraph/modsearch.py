@@ -104,8 +104,8 @@ class SearchConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("lo must not exceed hi")
+        if not 1 <= self.lo <= self.hi:
+            raise ValueError("need 1 <= lo <= hi")
         if self.min_k < 3:
             raise ValueError("min_k must be >= 3: shorter tuples admit "
                              "no second ordering")

@@ -290,6 +290,34 @@ def test_chains_cli():
     assert "1" in values
 
 
+_EXPLORE_19 = ["explore", "--root", "19", "--bound", "5", "--max-level", "3"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (_EXPLORE_19, (
+        '{"edges":[],"level":"0","root":"19","value":"19"}\n'
+        '{"edges":["2"],"level":"1","root":"19","value":"38"}\n'
+        '{"edges":["5"],"level":"1","root":"19","value":"95"}\n'
+        '{"edges":["2","3"],"level":"2","root":"19","value":"114"}\n'
+        '{"edges":["5","2"],"level":"2","root":"19","value":"190"}\n'
+        '{"edges":["5","3"],"level":"2","root":"19","value":"285"}\n'
+        '{"edges":["2","3","5"],"level":"3","root":"19","value":"570"}\n'
+        '{"edges":["5","3","2"],"level":"3","root":"19","value":"570"}\n')),
+    (_EXPLORE_19 + ["--watch"], (
+        '{"edges":[],"hit_a":"19","hit_m":"30","level":"0","root":"19","value":"19"}\n')),
+    (["chains", "--ell", "4", "--root", "1", "--bound", "100",
+      "--max-level", "2"], (
+        '{"edges":[],"level":"0","root":"1","value":"1"}\n')),
+])
+def test_walk_output_pinned(tmp_path, argv, want):
+    # every field of every line, the two paths to 570 included
+    if argv[-1] == "--watch":
+        watch = tmp_path / "watch.jsonl"
+        watch.write_text('{"a": "19", "m": "30"}\n')
+        argv = argv + [str(watch)]
+    assert run_capture(argv) == (0, want)
+
+
 def test_simulate_deterministic_output():
     code1, out1 = run_capture(["simulate", "--k", "500", "--trials", "3",
                                "--seed", "11"])
@@ -405,7 +433,8 @@ def test_repeated_watch_class_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad_input", ["policy file", "cache line",
-                                       "watch file", "second k"])
+                                       "search lo", "watch file",
+                                       "second k"])
 def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     out = tmp_path / "kept.jsonl"
     out.write_text("kept\n")
@@ -417,13 +446,17 @@ def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     elif bad_input == "cache line":
         bad.write_text("not a cache line\n")
         argv = ["sequence", "--steps", "3", "--cache", str(bad)]
+    elif bad_input == "search lo":  # the generator path, which has no
+        # lower limit of its own
+        argv = ["search-pairs", "--lo", "0", "--hi", "100000",
+                "--irreducible-only"]
     elif bad_input == "watch file":  # a missing file
         argv = ["explore", "--bound", "5", "--max-level", "2",
                 "--watch", str(bad)]
     else:  # the first k is good
         argv = ["simulate", "--k", "5", "0", "--trials", "1", "--seed", "1"]
     assert cli.run(argv + ["--out", str(out)]) == 2
-    assert out.read_text() == "kept\n"
+    assert out.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("argv", [

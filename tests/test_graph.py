@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import re
 import stat
@@ -205,6 +206,13 @@ def test_bfs_levels_independent_of_expansion_order():
 
 # bounded exploration ---------------------------------------------------------
 
+def test_node_is_a_value_and_its_edge_primes():
+    nd = gr.Node(1).child(2).child(3)
+    assert nd == (6, (2, 3)) and nd.level == 2
+    assert gr.Node._fields == ("value", "edge_primes")
+    assert pickle.loads(pickle.dumps(nd)) == nd
+
+
 def test_bounded_explore_examples():
     values = sorted(n.value for n in gr.bounded_explore([1], 5, 3))
     assert values == [1, 2, 6]
@@ -216,17 +224,18 @@ def test_bounded_explore_examples():
 
 def test_bounded_explore_respects_bound():
     # 1807 = 13 * 139: only the edges below the bound are followed
-    nodes = list(gr.bounded_explore([gr.Node(1806)], 12, 1))
+    nodes = list(gr.bounded_explore([1806], 12, 1))
     assert [n.value for n in nodes] == [1806]
-    nodes = list(gr.bounded_explore([gr.Node(1806)], 20, 1))
+    nodes = list(gr.bounded_explore([1806], 20, 1))
     assert sorted(n.value for n in nodes) == [1806, 1806 * 13]
 
 
 def test_bounded_explore_nodes_well_formed():
     for nd in gr.bounded_explore([1, 19], 1 << 10, 8):
         assert len(set(nd.edge_primes)) == len(nd.edge_primes)
+        root = nd.value // math.prod(nd.edge_primes)
         for p in nd.edge_primes:
-            assert math.gcd(p, nd.root) == 1
+            assert math.gcd(p, root) == 1
 
 
 def test_bounded_explore_finds_loops():
@@ -256,7 +265,7 @@ def _blocked_small_primes(x, bound, block=512):
 
 def _per_node_explore(roots, bound, max_level):
     """Oracle: the walk that factored one node at a time."""
-    frontier = [r if isinstance(r, gr.Node) else gr.Node(r) for r in roots]
+    frontier = [gr.Node(r) for r in roots]
     seen = {nd.value for nd in frontier}
     yield from frontier
     level = 0
@@ -274,7 +283,7 @@ def _per_node_explore(roots, bound, max_level):
 
 
 @pytest.mark.parametrize("roots", [
-    [1], [19], [1, 19], [gr.Node(1806)], [19, 19], [gr.Node(1806), 1806]])
+    [1], [19], [1, 19], [1806], [19, 19], [1806, 1806]])
 @pytest.mark.parametrize("bound,max_level", [
     (2, 6), (5, 8), (1 << 10, 8), (1 << 16, 7)])
 def test_bounded_explore_matches_per_node_walk(roots, bound, max_level):
@@ -294,7 +303,7 @@ def test_bounded_explore_walk_pinned():
 
 
 @pytest.mark.parametrize("roots,bound,max_level", [
-    ([-1], 30, 1), ([0], 30, 1), ([1, -5], 30, 1), ([gr.Node(0)], 30, 0),
+    ([-1], 30, 1), ([0], 30, 1), ([1, -5], 30, 1), ([0], 30, 0),
     ([1], 30, -1), ([1], 1, 1)])
 def test_bounded_explore_rejects_bad_input(roots, bound, max_level):
     with pytest.raises(ValueError):
@@ -341,12 +350,13 @@ def test_watch_hits_match_a_scan_of_every_class():
 
 
 def test_watch_list_file_roundtrip(tmp_path):
-    path = str(tmp_path / "watch.jsonl")
+    path = tmp_path / "watch.jsonl"
     w = gr.WatchList(tuple(tp.ResidueClass(a, m)
                            for _, m, residues, _ in COPRIME_ROWS[:3]
                            for a in residues))
-    w.dump(path)
-    assert gr.WatchList.load(path) == w
+    path.write_text("".join(json.dumps({"a": str(rc.a), "m": str(rc.m)})
+                            + "\n" for rc in w.classes))
+    assert gr.WatchList.load(str(path)) == w
 
 
 @pytest.mark.parametrize("line", [
@@ -452,9 +462,10 @@ def test_euclid_mullin_matches_leftmost_branch():
 
 def test_unique_chain_examples():
     assert list(gr.unique_chain_scan([gr.Node(1)], 4)) == [gr.Node(1)]
-    assert list(gr.unique_chain_scan([gr.Node(1, (2, 3))], 1)) \
-        == [gr.Node(1, (2, 3))]
-    assert list(gr.unique_chain_scan([gr.Node(1, (2, 3, 7, 43))], 1)) == []
+    assert list(gr.unique_chain_scan([gr.Node(6, (2, 3))], 1)) \
+        == [gr.Node(6, (2, 3))]
+    assert list(gr.unique_chain_scan([gr.Node(1806, (2, 3, 7, 43))], 1)) \
+        == []
 
 
 # growth model ----------------------------------------------------------------------

@@ -474,6 +474,15 @@ def test_checkpoint_validation(tmp_path):
         ms.resume_point(ms.SearchConfig(10_000, 140_000), str(ck))
 
 
+@pytest.mark.parametrize("generate", [True, False])
+@pytest.mark.parametrize("lo, hi", [(0, 100_000), (-5, 300_000)])
+def test_search_range_rejects_lo_below_one(generate, lo, hi):
+    # the generator has no lower limit of its own, so the check cannot be
+    # left to the sieve
+    with _on_path(generate), pytest.raises(ValueError, match="1 <= lo"):
+        list(ms.search_range(ms.SearchConfig(lo, hi)))
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         ms.SearchConfig(10, 5)
