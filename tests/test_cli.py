@@ -304,7 +304,8 @@ _EXPLORE_19 = ["explore", "--root", "19", "--bound", "5", "--max-level", "3"]
         '{"edges":["2","3","5"],"level":"3","root":"19","value":"570"}\n'
         '{"edges":["5","3","2"],"level":"3","root":"19","value":"570"}\n')),
     (_EXPLORE_19 + ["--watch"], (
-        '{"edges":[],"hit_a":"19","hit_m":"30","level":"0","root":"19","value":"19"}\n')),
+        '{"edges":[],"hit_a":"19","hit_m":"30","level":"0","root":"19",'
+        '"value":"19"}\n')),
     (["chains", "--ell", "4", "--root", "1", "--bound", "100",
       "--max-level", "2"], (
         '{"edges":[],"level":"0","root":"1","value":"1"}\n')),
@@ -446,8 +447,7 @@ def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
     elif bad_input == "cache line":
         bad.write_text("not a cache line\n")
         argv = ["sequence", "--steps", "3", "--cache", str(bad)]
-    elif bad_input == "search lo":  # the generator path, which has no
-        # lower limit of its own
+    elif bad_input == "search lo":  # a job for the generator path
         argv = ["search-pairs", "--lo", "0", "--hi", "100000",
                 "--irreducible-only"]
     elif bad_input == "watch file":  # a missing file
