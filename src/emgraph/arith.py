@@ -225,36 +225,39 @@ class Factorization:
 
 
 class FactorCache:
-    """Persistent store of known nontrivial splits.
+    """Persistent store of known nontrivial splits, kept in the file at
+    ``path``.
 
     Plain text, one entry per line, ``composite=factor,factor,...`` in
-    decimal. Loaded eagerly; a malformed line, or one whose factors are not
-    all proper divisors of its composite, raises ValueError naming the file
-    and line. Appends are serialized through one lock so concurrent
-    factoring jobs can share a cache file.
+    decimal. Loaded eagerly (a missing file is an empty cache); a
+    malformed line, or one whose factors are not all proper divisors of
+    its composite, raises ValueError naming the file and line. ``add``
+    merges a split and appends its line under one lock, so threads of
+    one process that share a cache neither write a split twice nor
+    interleave their lines. The lock does nothing across processes:
+    jobs in separate processes must not append to one file at once.
     """
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
         self._known: dict[int, list[int]] = {}
         self._lock = threading.Lock()
-        if path is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    for lineno, line in enumerate(fh, start=1):
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            left, right = line.split("=", 1)
-                            self._merge(int(left), [int(t) for t in
-                                                    right.split(",") if t])
-                        except ValueError:
-                            raise ValueError(
-                                f"{path}:{lineno}: malformed factor cache "
-                                f"line {line!r}") from None
-            except FileNotFoundError:
-                pass
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        left, right = line.split("=", 1)
+                        self._merge(int(left), [int(t) for t in
+                                                right.split(",") if t])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: malformed factor cache "
+                            f"line {line!r}") from None
+        except FileNotFoundError:
+            pass
 
     def _merge(self, composite: int, factors: list[int]) -> bool:
         if not factors or not all(1 < f < composite and composite % f == 0
@@ -274,18 +277,14 @@ class FactorCache:
         with self._lock:
             if not self._merge(composite, list(factors)):
                 return
-            if self.path is not None:
-                line = "%d=%s\n" % (
-                    composite, ",".join(str(f) for f in sorted(set(factors))))
-                with open(self.path, "a+b") as fh:
-                    # never run on from a last line left unterminated
-                    fh.seek(max(fh.tell() - 1, 0))
-                    if fh.read(1) not in (b"", b"\n"):
-                        line = "\n" + line
-                    fh.write(line.encode())
-
-    def __len__(self) -> int:
-        return len(self._known)
+            line = "%d=%s\n" % (
+                composite, ",".join(str(f) for f in sorted(set(factors))))
+            with open(self.path, "a+b") as fh:
+                # never run on from a last line left unterminated
+                fh.seek(max(fh.tell() - 1, 0))
+                if fh.read(1) not in (b"", b"\n"):
+                    line = "\n" + line
+                fh.write(line.encode())
 
 
 def write_durably(path: str, text: str) -> None:

@@ -18,8 +18,6 @@ from .arith import DEFAULT_POLICY, EffortPolicy, FactorCache
 from . import graph, modsearch
 from .tuples import PairRecord
 
-POLICY_ENV = "EMGRAPH_POLICY"
-
 
 class UsageError(Exception):
     pass
@@ -30,28 +28,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _policy_file(path: str) -> EffortPolicy:
-    """The policy of a JSON object of EffortPolicy fields; the rest of the
-    fields keep their defaults."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        return EffortPolicy(**obj)
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown field
-        raise ValueError(f"{POLICY_ENV} file {path}: {exc}") from None
-
-
 def _factoring(args: argparse.Namespace
                ) -> tuple[EffortPolicy, Optional[FactorCache]]:
-    """The policy (the defaults, then the EMGRAPH_POLICY file, then the
-    flags) and the factor cache of a command that factors."""
-    path = os.environ.get(POLICY_ENV)
-    base = _policy_file(path) if path else DEFAULT_POLICY
+    """The policy (the defaults, then the flags) and the factor cache of a
+    command that factors."""
     flags = {f.name: getattr(args, f.name) for f in fields(EffortPolicy)
              if getattr(args, f.name) is not None}
-    return (replace(base, **flags),
+    return (replace(DEFAULT_POLICY, **flags),
             FactorCache(args.cache) if args.cache else None)
 
 

@@ -433,17 +433,15 @@ def test_repeated_watch_class_exit_two(tmp_path, capsys):
     assert "repeats the class on line 1" in captured.err
 
 
-@pytest.mark.parametrize("bad_input", ["policy file", "cache line",
+@pytest.mark.parametrize("bad_input", ["policy flag", "cache line",
                                        "search lo", "watch file",
                                        "second k"])
-def test_bad_input_leaves_out_intact(tmp_path, monkeypatch, bad_input):
+def test_bad_input_leaves_out_intact(tmp_path, bad_input):
     out = tmp_path / "kept.jsonl"
     out.write_text("kept\n")
     bad = tmp_path / "bad"
-    if bad_input == "policy file":
-        bad.write_text('{"ecm_curve": 1}')
-        monkeypatch.setenv(cli.POLICY_ENV, str(bad))
-        argv = ["expand", "--max-level", "3"]
+    if bad_input == "policy flag":
+        argv = ["expand", "--max-level", "3", "--ecm-curves", "-1"]
     elif bad_input == "cache line":
         bad.write_text("not a cache line\n")
         argv = ["sequence", "--steps", "3", "--cache", str(bad)]
@@ -499,28 +497,23 @@ def test_cache_line_with_non_divisor_exit_two(tmp_path, capsys):
     assert f"{cache}:1" in capsys.readouterr().err
 
 
-def test_policy_env_override(tmp_path, monkeypatch):
-    pol = tmp_path / "policy.json"
-    pol.write_text(json.dumps({"trial_bound": 100, "rho_iterations": 5,
-                               "ecm_curves": 0}))
-    monkeypatch.setenv(cli.POLICY_ENV, str(pol))
-    code, out = run_capture(["sequence", "--steps", "12"])
+def test_policy_flags_set_the_factoring_effort(capsys):
+    code = cli.run(["sequence", "--steps", "12", "--trial-bound", "100",
+                    "--rho-iterations", "5", "--ecm-curves", "0"])
+    out, err = capsys.readouterr()
     assert code == 0
     # the cheap policy cannot certify all 12 terms
     assert len(out.split()) < 12
-    monkeypatch.delenv(cli.POLICY_ENV)
+    assert f"stopped after {len(out.split())} terms" in err
 
 
-def test_policy_flag_overrides_env(tmp_path, monkeypatch):
-    pol = tmp_path / "policy.json"
-    pol.write_text(json.dumps({"trial_bound": 100, "rho_iterations": 5,
-                               "ecm_curves": 0}))
-    monkeypatch.setenv(cli.POLICY_ENV, str(pol))
-    code, out = run_capture(["sequence", "--steps", "8",
-                             "--rho-iterations", "400000",
-                             "--ecm-curves", "50"])
-    assert code == 0
-    assert len(out.split()) == 8
+@pytest.mark.parametrize("flag,field", [(["--ecm-curves", "-1"], "ecm_curves"),
+                                        (["--time-budget=-1"], "time_budget")])
+def test_negative_policy_flag_exit_two(capsys, flag, field):
+    assert cli.run(["sequence", "--steps", "3"] + flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"policy field {field} must be nonnegative" in err
 
 
 def test_cache_flag(tmp_path):
@@ -571,12 +564,6 @@ def test_option_a_command_does_not_read_is_a_usage_error(command, option,
     assert out == "" and option[0] in err
 
 
-def test_only_the_factoring_commands_read_the_policy_env(monkeypatch):
-    monkeypatch.setenv(cli.POLICY_ENV, "/nonexistent")
-    assert run_capture(["verify-theorem"])[0] == 0
-    assert run_capture(["sequence", "--steps", "2"]) == (2, "")
-
-
 def test_every_policy_field_is_a_flag_of_the_factoring_commands():
     parsers = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices
@@ -591,14 +578,3 @@ def test_every_policy_field_changes_the_census_fingerprint():
         other = dataclasses.replace(
             DEFAULT_POLICY, **{f.name: getattr(DEFAULT_POLICY, f.name) + 1})
         assert graph._policy_fingerprint(other) != base, f.name
-
-
-@pytest.mark.parametrize("text", ['{"ecm_curves": "50"}', '[50]',
-                                  '{"ecm_curve": 0}', '{"trial_bound": '])
-def test_bad_policy_file_exit_two(tmp_path, monkeypatch, capsys, text):
-    pol = tmp_path / "policy.json"
-    pol.write_text(text)
-    monkeypatch.setenv(cli.POLICY_ENV, str(pol))
-    assert cli.run(["sequence", "--steps", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and str(pol) in err

@@ -481,6 +481,16 @@ def test_growth_model_single_step_finite_positive():
     assert all(math.isfinite(r) and r > 0 for r in st.ratios)
 
 
+def test_growth_model_sign_of_the_first_steps_from_one():
+    # From n = 1 (l = log n = 0) one step gives l = (log 2)**theta, in
+    # (log 2, 1], so every ratio log(l)/sqrt(2) is <= 0. The second step
+    # adds log(e**l + 1)**theta >= 1, as log(e**l + 1) > log 3 > 1, so
+    # l > log 2 + 1 > 1 and every ratio is > 0.
+    one = gr.simulate_growth_model(1, 5, 3)
+    assert all(math.isfinite(r) and r <= 0 for r in one.ratios)
+    assert all(r > 0 for r in gr.simulate_growth_model(2, 5, 3).ratios)
+
+
 def test_growth_model_ratio_scale():
     st = gr.simulate_growth_model(200_000, 6, 7)
     assert 0.85 < st.mean < 1.0
