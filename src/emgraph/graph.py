@@ -21,8 +21,9 @@ from itertools import repeat, starmap
 from operator import le
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-# small_prime_factors is not called here; it stays a module attribute so
-# code that reaches the one-number form through graph keeps working
+# small_prime_factors is not called here. perfbench/tracing.py patches it,
+# and perfbench/test_perfbench.py fails on a missing patch point
+# (untraced_patch_points == []); ROADMAP item 5 deletes both together.
 from .arith import (DEFAULT_POLICY, LADDER_VERSION, EffortPolicy,
                     FactorCache, factor, is_prime, small_prime_factors,
                     small_prime_factors_many, write_durably)
@@ -455,15 +456,14 @@ class GrowthStats:
     stddev: float
 
 
-def simulate_growth_model(k_max: int, trials: int, seed: int,
-                          n0: float = 1.0) -> GrowthStats:
-    """Randomized growth model for node sizes along a path.
+def simulate_growth_model(k_max: int, trials: int, seed: int) -> GrowthStats:
+    """Randomized growth model for node sizes along a path from the root.
 
-    Each step multiplies the node value by exp(log(n+1)**theta) with
-    theta uniform on [0, 1). The iteration tracks log(n) directly while
-    values are small, then switches to y = log(log(n)) where the update
-    is y += log1p(exp((theta-1)*y)), which is numerically stable because
-    the exponent is nonpositive. Reports y/sqrt(2k) per trial.
+    Each trial starts at n = 1, and each step multiplies n by
+    exp(log(n+1)**theta) with theta uniform on [0, 1). The iteration
+    tracks log(n) while values are small, then y = log(log(n)) with the
+    update y += log1p(exp((theta-1)*y)), numerically stable because the
+    exponent is nonpositive. Reports y/sqrt(2k) per trial.
 
     In the log-log regime most steps leave y exactly as it was, and only
     the draws that can move it reach Python code. The thetas are drawn in
@@ -479,14 +479,12 @@ def simulate_growth_model(k_max: int, trials: int, seed: int,
     """
     if k_max < 1 or trials < 1:
         raise ValueError("k_max and trials must be >= 1")
-    if not 1 <= n0 < math.inf:
-        raise ValueError("n0 must be a finite number >= 1")
     log1p, exp, log, ulp = math.log1p, math.exp, math.log, math.ulp
     ratios = []
     scale = math.sqrt(2 * k_max)
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        l = log(n0)  # log of the node value
+        l = 0.0  # log of the node value, from n = 1
         k = 0
         # small regime: keep the +1 inside log(n+1) exact
         while k < k_max and l < 120.0:

@@ -6,6 +6,8 @@ import io
 import json
 import contextlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -570,6 +572,34 @@ def test_every_policy_field_is_a_flag_of_the_factoring_commands():
     for command in ("expand", "sequence"):
         dests = {a.dest for a in parsers[command]._actions}
         assert {f.name for f in dataclasses.fields(EffortPolicy)} <= dests
+
+
+def _readme_command_lines():
+    """The lines of README.md's fenced sh blocks that run emgraph, with
+    backslash continuations joined. Inline spans are left out: they hold
+    placeholders such as --workers N."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        lines += [line for line in
+                  re.sub(r"\\\n\s*", " ", block).splitlines()
+                  if line.startswith("emgraph ")]
+    return lines
+
+
+def test_readme_commands_parse_and_cover_every_subcommand():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    shown = set()
+    for line in _readme_command_lines():
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README.md: {line!r}: {exc}")
+        shown.add(argv[0])
+    assert shown == set(commands)
 
 
 def test_every_policy_field_changes_the_census_fingerprint():

@@ -476,11 +476,6 @@ def test_growth_model_deterministic():
     assert a == b
 
 
-def test_growth_model_single_step_finite_positive():
-    st = gr.simulate_growth_model(1, 5, 3, n0=3.0)
-    assert all(math.isfinite(r) and r > 0 for r in st.ratios)
-
-
 def test_growth_model_sign_of_the_first_steps_from_one():
     # From n = 1 (l = log n = 0) one step gives l = (log 2)**theta, in
     # (log 2, 1], so every ratio log(l)/sqrt(2) is <= 0. The second step
@@ -496,19 +491,25 @@ def test_growth_model_ratio_scale():
     assert 0.85 < st.mean < 1.0
 
 
-def _growth_reference(k_max, trials, seed, n0=1.0):
+def _small_regime(rng, k_max):
+    """The growth model's small regime from n = 1: (log n, steps taken)."""
+    log1p, exp = math.log1p, math.exp
+    l, k = 0.0, 0
+    while k < k_max and l < 120.0:
+        theta = rng.random()
+        l += (l + log1p(exp(-l))) ** theta
+        k += 1
+    return l, k
+
+
+def _growth_reference(k_max, trials, seed):
     """The growth model with one Python step per draw and no skipping."""
     log1p, exp, log = math.log1p, math.exp, math.log
     ratios = []
     scale = math.sqrt(2 * k_max)
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        l = log(n0)
-        k = 0
-        while k < k_max and l < 120.0:
-            theta = rng.random()
-            l += (l + log1p(exp(-l))) ** theta
-            k += 1
+        l, k = _small_regime(rng, k_max)
         if k == k_max:
             ratios.append(log(l) / scale)
             continue
@@ -523,20 +524,23 @@ def _growth_reference(k_max, trials, seed, n0=1.0):
                           mean, math.sqrt(var))
 
 
-@pytest.mark.parametrize("k_max", [1, 10, 1000, gr._GROWTH_CHUNK - 1,
-                                   gr._GROWTH_CHUNK + 1, 200_000])
-@pytest.mark.parametrize("n0", [1.0, 3.0, 1e60])
-def test_growth_model_matches_per_step_reference(k_max, n0):
-    # n0 = 1e60 starts in the log-log regime, where draws are skipped
+# both trials of seed 99 hand over to the log-log regime at this step
+_SEED_99_HANDOVER = 15
+
+
+# Past the handover the draws are skipped chunk by chunk. For seed 99 the
+# two k_max around a chunk edge leave one chunk one draw short, and one
+# full chunk then a chunk of one draw; 200_000 crosses about 195 edges.
+@pytest.mark.parametrize("k_max", [
+    1, 10, 1000, _SEED_99_HANDOVER + gr._GROWTH_CHUNK - 1,
+    _SEED_99_HANDOVER + gr._GROWTH_CHUNK + 1, 200_000])
+def test_growth_model_matches_per_step_reference(k_max):
+    # a change to the small regime must fail here, not move the chunk grid
+    assert [_small_regime(random.Random(f"99:{t}"), math.inf)[1]
+            for t in range(2)] == [_SEED_99_HANDOVER] * 2
     for seed in (7, 99, 12345):
-        assert gr.simulate_growth_model(k_max, 2, seed, n0) \
-            == _growth_reference(k_max, 2, seed, n0)
-
-
-@pytest.mark.parametrize("n0", [float("nan"), math.inf, 0.5])
-def test_growth_model_rejects_bad_start(n0):
-    with pytest.raises(ValueError, match="n0"):
-        gr.simulate_growth_model(10, 2, 1, n0=n0)
+        assert gr.simulate_growth_model(k_max, 2, seed) \
+            == _growth_reference(k_max, 2, seed)
 
 
 # factor cache interplay ----------------------------------------------------------
