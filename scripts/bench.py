@@ -15,6 +15,12 @@ Jobs:
   pairs    search_range over [2, 2**22] for irreducible pairs on one
            worker. Keeps the record count, the records per tuple size k
            and the sha256 of the JSONL output.
+  window   search_range over [5*10**8, 5*10**8 + 2**20) for irreducible
+           pairs on one worker, a window narrow enough to be sieved.
+           Keeps the pairs job's summary and, counted outside the timing,
+           the survivors of each stage: the moduli sieved (k >= 3), those
+           whose largest prime r has r**2 < m, those that pass the
+           collision filter, and those with pairs.
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -40,7 +46,8 @@ from pathlib import Path
 
 from emgraph.arith import EffortPolicy
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
-from emgraph.modsearch import SearchConfig, search_range
+from emgraph.arith import squarefree_stream
+from emgraph.modsearch import SearchConfig, _collision_free_prime, search_range
 
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
@@ -50,6 +57,33 @@ REPEATS = 5
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
+
+def _search(p: dict) -> list:
+    return list(search_range(SearchConfig(p["lo"], p["hi"],
+                                          worker_count=p["workers"])))
+
+
+def _pairs_summary(recs: list) -> dict:
+    return {"records": len(recs),
+            "per_k": {str(k): n for k, n in sorted(Counter(
+                len(r.p.primes) for r in recs).items())},
+            "jsonl_sha256": _sha256("".join(
+                r.to_json_line() + "\n" for r in recs))}
+
+
+def _stages(p: dict, recs: list) -> dict:
+    """Survivors of each pruning stage of the sieve path over the range."""
+    sieved = lemma = passed = 0
+    for m, primes in squarefree_stream(p["lo"], p["hi"], 3, primes_only=True):
+        sieved += 1
+        if primes[-1] ** 2 < m:
+            lemma += 1
+            passed += not _collision_free_prime(primes)
+    return {"sieved": sieved, "lemma": lemma, "filter": passed,
+            "pairs": len({r.modulus for r in recs})}
+
+
+WINDOW = {"lo": 5 * 10 ** 8, "hi": 5 * 10 ** 8 + (1 << 20) - 1, "workers": 1}
 
 # job -> (the parameters kept in its record, a run of those parameters,
 # and the summary of the run's output kept in its record)
@@ -70,15 +104,10 @@ JOBS = {
         lambda p: simulate_growth_model(p["k_max"], p["trials"], p["seed"]),
         lambda stats: {"ratios_sha256": _sha256(
             " ".join(r.hex() for r in stats.ratios))}),
-    "pairs": (
-        {"lo": 2, "hi": 1 << 22, "workers": 1},
-        lambda p: list(search_range(SearchConfig(
-            p["lo"], p["hi"], worker_count=p["workers"]))),
-        lambda recs: {"records": len(recs),
-                      "per_k": {str(k): n for k, n in sorted(Counter(
-                          len(r.p.primes) for r in recs).items())},
-                      "jsonl_sha256": _sha256("".join(
-                          r.to_json_line() + "\n" for r in recs))}),
+    "pairs": ({"lo": 2, "hi": 1 << 22, "workers": 1}, _search,
+              _pairs_summary),
+    "window": (WINDOW, _search, lambda recs: {
+        **_pairs_summary(recs), "stages": _stages(WINDOW, recs)}),
 }
 
 

@@ -38,13 +38,16 @@ from a smallest-prime-factor table when n <= sqrt(hi) and otherwise
 moduli n*r reach the search. The walk visits about hi^0.7 values of n
 whatever the width, so a range narrower than hi^(3/4) sieves its
 integers instead, as the reducible search always does. Both sources
-hand each modulus to the same filter and walk, so their records agree
-byte for byte.
+apply r^2 < m, the generator by construction and the sieve path by one
+multiply before the filter, which rules out about two thirds of the
+sieved moduli. Both hand each modulus to the same filter and walk, so
+their records agree byte for byte.
 
 For the moduli that pass the filter, the same residue tables prune the
 walk: the prime placed next must collide at its predecessor set, and
 every unplaced prime must still have a colliding set containing the
-primes placed so far.
+primes placed so far. The tables and the walk read two per-k tables,
+the masks without each prime and the primes of each mask.
 Reducible pairs may share predecessor sets, so the search that keeps
 them uses neither rule and files all k! orderings. Memory grows with
 the orderings filed: the products of the first nine and ten primes
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import itertools
 import multiprocessing
 from array import array
@@ -142,6 +146,16 @@ def _collision_free_prime(primes: Sequence[int]) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _mask_tables(k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """For masks over k primes: the masks without each bit, and the bit
+    list of each mask, in increasing order."""
+    without = [[mask for mask in range(1 << k) if not mask >> b & 1]
+               for b in range(k)]
+    bits = [[b for b in range(k) if mask >> b & 1] for mask in range(1 << k)]
+    return without, bits
+
+
 def _collision_masks(primes: Sequence[int], value: Sequence[int],
                      ) -> tuple[list[int], list[int]]:
     """Per-prime collision tables, as prime-bit masks indexed by the mask
@@ -152,21 +166,21 @@ def _collision_masks(primes: Sequence[int], value: Sequence[int],
     position. ``allow[used]`` holds the primes that have a colliding
     subset containing ``used``: every unplaced prime must be among them.
     """
+    without = _mask_tables(len(primes))[0]
     exact = [0] * len(value)
     for b, p in enumerate(primes):
         bit = 1 << b
-        masks = [mask for mask in range(len(value)) if not mask & bit]
-        res = [value[mask] % p for mask in masks]
+        res = [value[mask] % p for mask in without[b]]
         count = Counter(res)
-        for mask, r in zip(masks, res):
-            if count[r] > 1:
-                exact[mask] |= bit
+        # the masks whose residue occurs more than once
+        for mask in itertools.compress(
+                without[b], map((1).__lt__, map(count.__getitem__, res))):
+            exact[mask] |= bit
     allow = exact[:]
-    for b in range(len(primes)):
+    for b, masks in enumerate(without):
         bit = 1 << b
-        for mask in range(len(value)):
-            if not mask & bit:
-                allow[mask] |= allow[mask | bit]
+        for mask in masks:
+            allow[mask] |= allow[mask | bit]
     return exact, allow
 
 
@@ -174,10 +188,11 @@ def _pair_search(m: int, primes: Sequence[int],
                  irreducible_only: bool) -> list[tuple[tuple[int, ...],
                                                        tuple[int, ...]]]:
     """Core search; returns canonical (P, Q) tuples."""
-    # the filter runs before _backtrack, so a rejected modulus allocates
-    # none of the walk's closure cells
-    if len(primes) < 3 or (irreducible_only and
-                           _collision_free_prime(primes)):
+    # the largest-prime lemma (r^2 < m, one multiply) and the filter run
+    # before _backtrack, so a rejected modulus allocates none of the walk's
+    # closure cells
+    if len(primes) < 3 or (irreducible_only and (
+            primes[-1] ** 2 > m or _collision_free_prime(primes))):
         return []
     return _backtrack(primes, irreducible_only)
 
@@ -204,22 +219,21 @@ def _backtrack(primes: Sequence[int],
     weight = [value[(1 << b) - 1] for b in range(k)]
     first: dict[int, int] = {}  # class key -> code of its first ordering
     more: dict[int, list[int]] = {}  # class key -> codes of the others
+    bits = _mask_tables(k)[1]
 
+    # the filter passed, so every prime collides somewhere and the root
+    # meets allow; each child is checked before the descent
     def walk(used: int, key: int, code: int) -> None:
-        if allow[used] | used != full:
-            return  # an unplaced prime can no longer meet a collision
         v = value[used]
-        free = exact[used]
-        while free:
-            pb = free & -free
-            free ^= pb
-            b = pb.bit_length() - 1
+        for b in bits[exact[used]]:
+            nused = used | 1 << b
             nkey = key + v % primes[b] * weight[b]
             ncode = code * k + b
-            if used | pb != full:
-                walk(used | pb, nkey, ncode)
-            elif first.setdefault(nkey, ncode) != ncode:
-                more.setdefault(nkey, []).append(ncode)
+            if nused == full:
+                if first.setdefault(nkey, ncode) != ncode:
+                    more.setdefault(nkey, []).append(ncode)
+            elif allow[nused] | nused == full:
+                walk(nused, nkey, ncode)
 
     walk(0, 0, 0)
 

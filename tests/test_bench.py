@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "explore": ("reaches", "edges_sha256"),
                  "growth": ("ratios_sha256",),
-                 "pairs": ("records", "per_k", "jsonl_sha256")}
+                 "pairs": ("records", "per_k", "jsonl_sha256"),
+                 "window": ("records", "per_k", "jsonl_sha256", "stages")}
 
 
 @pytest.fixture(scope="module")

@@ -259,20 +259,55 @@ def test_generator_emits_primes_in_order():
 
 
 def test_collision_masks_match_definition():
-    primes = factor(4930).primes  # (2, 5, 17, 29)
-    k = len(primes)
-    value = [math.prod(primes[b] for b in range(k) if mask >> b & 1)
-             for mask in range(1 << k)]
-    exact, allow = ms._collision_masks(primes, value)
-    for used in range(1 << k):
+    # 4930 = 2*5*17*29; the others pass the filter, k = 5, 5, 6 and 6, and
+    # 1006005 has irreducible pairs
+    for m in (4930, 1000246, 1001455, 1000110, 1006005):
+        primes = factor(m).primes
+        k = len(primes)
+        value = [math.prod(primes[b] for b in range(k) if mask >> b & 1)
+                 for mask in range(1 << k)]
+        exact, allow = ms._collision_masks(primes, value)
         for b, p in enumerate(primes):
             others = [s for s in range(1 << k) if not s >> b & 1]
             collides = {s for s in others
                         if any(t != s and (value[t] - value[s]) % p == 0
                                for t in others)}
-            assert bool(exact[used] >> b & 1) == (used in collides)
-            assert bool(allow[used] >> b & 1) == \
-                any(s & used == used for s in collides)
+            for used in range(1 << k):
+                assert bool(exact[used] >> b & 1) == (used in collides), m
+                assert bool(allow[used] >> b & 1) == \
+                    any(s & used == used for s in collides), m
+
+
+def test_lemma_skips_the_filter(monkeypatch):
+    # with P(m)^2 > m the irreducible search answers before the filter
+    lo, hi = 10 ** 8, 10 ** 8 + 3000
+    expect = ms._search_chunk((lo, hi, 3, 1, True))
+    filter_ = ms._collision_free_prime
+
+    def guarded(primes):
+        assert primes[-1] ** 2 < math.prod(primes), primes
+        return filter_(primes)
+
+    monkeypatch.setattr(ms, "_collision_free_prime", guarded)
+    assert ms._search_chunk((lo, hi, 3, 1, True)) == expect
+
+
+@pytest.mark.parametrize("lo, irr, digest", [
+    (10 ** 8, True,
+     "1e799dc65723ae85f6e6ccf1be83e6d974842f046757d6a3a96242c488b0a46d"),
+    (10 ** 8, False,
+     "1d247ff5c099d2708e2bdefca7e44a3d6b281e8148eaa0831e4caa875acb5b4e"),
+    # the irreducible search finds no pair above 10^8 in 20000, but 34
+    # on 3 moduli above 10^6
+    (10 ** 6, True,
+     "53d0af209f3ebaedd5938fa23c5c47e7043dbdb48791b9470c4eca47f21fa4d6"),
+], ids=["1e8-irr", "1e8-red", "1e6-irr"])
+def test_pair_search_pinned(lo, irr, digest):
+    # sha256 of one line "m [pairs]" per squarefree modulus with k >= 3
+    text = "".join(f"{m} {ms._pair_search(m, primes, irr)}\n"
+                   for m, primes in squarefree_stream(lo, lo + 20000, 3,
+                                                      primes_only=True))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # polynomial families -------------------------------------------------------
