@@ -44,9 +44,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from emgraph.arith import EffortPolicy
+from emgraph.arith import EffortPolicy, squarefree_stream
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
-from emgraph.arith import squarefree_stream
 from emgraph.modsearch import SearchConfig, _collision_free_prime, search_range
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -46,8 +46,8 @@ their records agree byte for byte.
 For the moduli that pass the filter, the same residue tables prune the
 walk: the prime placed next must collide at its predecessor set, and
 every unplaced prime must still have a colliding set containing the
-primes placed so far. The tables and the walk read two per-k tables,
-the masks without each prime and the primes of each mask.
+primes placed so far. The collision tables and the walk read two cached
+per-k tables: the masks without each prime and the primes of each mask.
 Reducible pairs may share predecessor sets, so the search that keeps
 them uses neither rule and files all k! orderings. Memory grows with
 the orderings filed: the products of the first nine and ten primes
