@@ -21,6 +21,10 @@ Jobs:
            the survivors of each stage: the moduli sieved (k >= 3), those
            whose largest prime r has r**2 < m, those that pass the
            collision filter, and those with pairs.
+  modulus  search_modulus(6469693230) for irreducible pairs: the product
+           of the first ten primes, the deepest walk below 10**10. Keeps
+           the record count, the sha256 of the JSONL output and the peak
+           resident set of the process in MB.
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -37,6 +41,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,9 +49,10 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from emgraph.arith import EffortPolicy, squarefree_stream
+from emgraph.arith import EffortPolicy, factor, squarefree_stream
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
-from emgraph.modsearch import SearchConfig, _collision_free_prime, search_range
+from emgraph.modsearch import (SearchConfig, _collision_free_prime,
+                               search_modulus, search_range)
 
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
@@ -62,12 +68,15 @@ def _search(p: dict) -> list:
                                           worker_count=p["workers"])))
 
 
+def _jsonl_sha256(recs: list) -> str:
+    return _sha256("".join(r.to_json_line() + "\n" for r in recs))
+
+
 def _pairs_summary(recs: list) -> dict:
     return {"records": len(recs),
             "per_k": {str(k): n for k, n in sorted(Counter(
                 len(r.p.primes) for r in recs).items())},
-            "jsonl_sha256": _sha256("".join(
-                r.to_json_line() + "\n" for r in recs))}
+            "jsonl_sha256": _jsonl_sha256(recs)}
 
 
 def _stages(p: dict, recs: list) -> dict:
@@ -107,6 +116,14 @@ JOBS = {
               _pairs_summary),
     "window": (WINDOW, _search, lambda recs: {
         **_pairs_summary(recs), "stages": _stages(WINDOW, recs)}),
+    "modulus": (
+        {"modulus": 6469693230},
+        lambda p: search_modulus(p["modulus"], factor(p["modulus"])),
+        lambda recs: {
+            "records": len(recs), "jsonl_sha256": _jsonl_sha256(recs),
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}),
 }
 
 

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from operator import sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
                     NotSquarefree, is_prime, sieve_primes, spf_table,
@@ -217,25 +217,52 @@ def _backtrack(primes: Sequence[int],
         exact = allow = [full ^ used for used in range(full + 1)]
     # digit weights of the mixed-radix class key
     weight = [value[(1 << b) - 1] for b in range(k)]
-    first: dict[int, int] = {}  # class key -> code of its first ordering
-    more: dict[int, list[int]] = {}  # class key -> codes of the others
     bits = _mask_tables(k)[1]
 
     # the filter passed, so every prime collides somewhere and the root
     # meets allow; each child is checked before the descent
-    def walk(used: int, key: int, code: int) -> None:
+    def extend(used: int, key: int, code: int, depth: int,
+               leaf: Callable[[int, int, int], object]) -> None:
+        """Call ``leaf(mask, key, code)`` at the end of each pruned walk of
+        ``depth`` more primes from ``used``."""
         v = value[used]
         for b in bits[exact[used]]:
             nused = used | 1 << b
-            nkey = key + v % primes[b] * weight[b]
-            ncode = code * k + b
-            if nused == full:
-                if first.setdefault(nkey, ncode) != ncode:
-                    more.setdefault(nkey, []).append(ncode)
-            elif allow[nused] | nused == full:
-                walk(nused, nkey, ncode)
+            if allow[nused] | nused == full:
+                nkey = key + v % primes[b] * weight[b]
+                if depth == 1:
+                    leaf(nused, nkey, code * k + b)
+                else:
+                    extend(nused, nkey, code * k + b, depth - 1, leaf)
 
-    walk(0, 0, 0)
+    # The walk stops at depth k - half. exact, allow and every digit are
+    # indexed by masks, so the completions below a cut-depth mask are the
+    # same on every path that reaches it: they are listed once, as (key
+    # offset, code suffix), and each leaf is filed as the prefix plus each.
+    half = k // 2
+    scale = k ** half
+    tails: list[Optional[list[tuple[int, int]]]] = [None] * (full + 1)
+    lead = [0] * scale  # code suffix -> the cut-depth mask before it
+    first: dict[int, int] = {}  # class key -> code of its first ordering
+    # class key -> codes of the others, as a tuple: most hold one code, and
+    # regrowing a tuple copies no more than the class's pairs
+    more: dict[int, tuple[int, ...]] = {}
+
+    def graft(used: int, key: int, code: int) -> None:
+        tail = tails[used]
+        if tail is None:  # an empty list is memoised too
+            tail = tails[used] = []
+            extend(used, 0, 0, half,
+                   lambda _, off, suf: tail.append((off, suf)))
+            for _, suf in tail:
+                lead[suf] = used
+        code *= scale
+        for off, suf in tail:
+            ncode = code + suf
+            if first.setdefault(key + off, ncode) != ncode:
+                more[key + off] = more.get(key + off, ()) + (ncode,)
+
+    extend(0, 0, 0, k - half, graft)
 
     def ordering(code: int) -> tuple[int, ...]:
         out = []
@@ -246,7 +273,12 @@ def _backtrack(primes: Sequence[int],
 
     pairs = []
     for key, codes in more.items():
-        members = sorted(map(ordering, [first[key], *codes]))
+        codes = (first[key], *codes)
+        # orderings through one cut-depth mask share that proper prefix,
+        # so such a class holds no irreducible pair
+        if irreducible_only and len({lead[c % scale] for c in codes}) == 1:
+            continue
+        members = sorted(map(ordering, codes))
         for P, Q in itertools.combinations(members, 2):
             if not (irreducible_only and _share_proper_prefix(P, Q)):
                 pairs.append((P, Q))

@@ -17,7 +17,8 @@ OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "explore": ("reaches", "edges_sha256"),
                  "growth": ("ratios_sha256",),
                  "pairs": ("records", "per_k", "jsonl_sha256"),
-                 "window": ("records", "per_k", "jsonl_sha256", "stages")}
+                 "window": ("records", "per_k", "jsonl_sha256", "stages"),
+                 "modulus": ("records", "jsonl_sha256")}
 
 
 @pytest.fixture(scope="module")

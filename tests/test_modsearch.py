@@ -131,10 +131,14 @@ def test_oracle_equivalence_random(m):
             ms.brute_force_pairs(m, fz, irr)
 
 
-@pytest.mark.parametrize("m", [510510, 570570, 9699690])
+@pytest.mark.parametrize("m", [510510, 570570, 9699690,
+                               500439030, 500982690])
 def test_oracle_equivalence_deep_chains(m):
     # nothing below 1e5 has 7+ prime factors, so exercise those chain
-    # depths explicitly against the permutation oracle
+    # depths explicitly against the permutation oracle; in the last two
+    # (k = 8, largest primes 263 and 97) the irreducible walk drops 758 of
+    # 1718 and 720 of 1234 classes whose orderings all pass through one
+    # half-depth mask
     fz = factor(m)
     assert fz.omega >= 7
     for irr in (False, True):
