@@ -22,9 +22,11 @@ Jobs:
            whose largest prime r has r**2 < m, those that pass the
            collision filter, and those with pairs.
   modulus  search_modulus(6469693230) for irreducible pairs: the product
-           of the first ten primes, the deepest walk below 10**10. Keeps
+           of the first ten primes (no modulus below 10**10 has more
+           primes), whose walk files all 10! orderings. Keeps
            the record count, the sha256 of the JSONL output and the peak
-           resident set of the process in MB.
+           resident set of the process in MB, over all its runs, so it
+           also counts what one run leaves alive into the next.
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python

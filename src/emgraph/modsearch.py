@@ -49,10 +49,20 @@ every unplaced prime must still have a colliding set containing the
 primes placed so far. The collision tables and the walk read two cached
 per-k tables: the masks without each prime and the primes of each mask.
 Reducible pairs may share predecessor sets, so the search that keeps
-them uses neither rule and files all k! orderings. Memory grows with
-the orderings filed: the products of the first nine and ten primes
-take about 40 MB and 0.55 GB in either mode, as primes that small
-prune little.
+them uses neither rule and files all k! orderings.
+
+Everything the walk reads below a prefix (the tables, the pruning and
+each digit prod(S_p) mod p times its weight) is indexed by the mask of
+primes placed, so the completions of a mask are the same on every path
+that reaches it. The walk therefore stops at depth k - floor(k/2),
+lists the completions of each mask it reaches there once, as (key
+offset, code suffix), and files the prefix plus each of them. In the
+irreducible search a class whose orderings all pass through one
+cut-depth mask shares that proper prefix, so it is dropped before any
+ordering is decoded; the search that keeps reducible pairs keeps it.
+Memory still grows with the orderings filed: the products of the first
+nine and ten primes take about 40 MB and 0.55 GB in either mode, as
+primes that small prune little.
 
 A permutation-enumeration oracle is provided for cross-checking, plus a
 density report for the expected spacing of loop bases. The pairs of the
@@ -235,10 +245,8 @@ def _backtrack(primes: Sequence[int],
                 else:
                     extend(nused, nkey, code * k + b, depth - 1, leaf)
 
-    # The walk stops at depth k - half. exact, allow and every digit are
-    # indexed by masks, so the completions below a cut-depth mask are the
-    # same on every path that reaches it: they are listed once, as (key
-    # offset, code suffix), and each leaf is filed as the prefix plus each.
+    # the walk stops at depth k - half (see the module docstring); tails
+    # holds each cut-depth mask's completions as (key offset, code suffix)
     half = k // 2
     scale = k ** half
     tails: list[Optional[list[tuple[int, int]]]] = [None] * (full + 1)
