@@ -81,9 +81,7 @@ def export_tables(records: Sequence[PairRecord]) -> list[str]:
 def _search_config(args: argparse.Namespace) -> modsearch.SearchConfig:
     return modsearch.SearchConfig(
         lo=args.lo, hi=args.hi, min_k=args.min_k,
-        coprime_to=args.coprime_to,
-        irreducible_only=args.irreducible_only,
-        worker_count=args.workers)
+        coprime_to=args.coprime_to, worker_count=args.workers)
 
 
 def _records_kept(args: argparse.Namespace) -> int:
@@ -274,7 +272,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--min-k", type=int, default=3)
     p.add_argument("--coprime-to", type=int, default=1)
-    p.add_argument("--irreducible-only", action="store_true")
+    p.add_argument("--irreducible-only", action="store_true",
+                   help="no effect: every search is irreducible")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default=None)
 

@@ -13,7 +13,9 @@ the vector into one integer key on the way: the digit of p_b,
 prod(S_{p_b}) mod p_b, lies in [1, p_b), and weighting it by
 p_1 ... p_{b-1} makes the key a mixed-radix number. Each complete
 ordering is packed into one integer code and filed under its key; the
-pairs are the combinations inside each key's class.
+pairs are the combinations inside each key's class whose proper prefix
+products all differ, the irreducible pairs. No other pair is searched
+for.
 
 Irreducible pairs obey a global rule too. Let S and T be the sets of
 primes before p in P and in Q. If S = T, the prefixes of length |S| (or
@@ -21,48 +23,44 @@ of length 1 if S is empty) have one product, so in an irreducible pair
 S != T. Both orderings take the edge p from the same start a, so
 a*prod(S) = -1 = a*prod(T) (mod p), hence prod(S) = prod(T) (mod p).
 Every prime p of m must therefore see two distinct subsets of the other
-primes with equal product mod p. The irreducible search checks this
-first, largest prime first, and returns nothing when some prime sees
-all 2^(k-1) subset products distinct. A prime p <= 2^(k-1) always
-passes, having more subsets than nonzero residues.
+primes with equal product mod p. The search checks this first,
+largest prime first, and returns nothing when some prime sees all
+2^(k-1) subset products distinct. A prime p <= 2^(k-1) always passes,
+having more subsets than nonzero residues.
 
 For the largest prime r of m = n*r the rule bounds r. Cancelling the
 primes common to S and T leaves disjoint sets A != B of primes of n with
 r dividing prod(A) - prod(B), a nonzero integer below n in size; so
 r < n and r^2 < m, and no modulus with P(m)^2 > m has an irreducible
-pair. The irreducible search of a wide range [lo, hi] therefore sieves
+pair. The search of a wide range [lo, hi] therefore sieves
 nothing: a depth-first walk over squarefree n with n*P(n) < hi lists the
 primes r in (P(n), min(n, hi/n)] that divide such a difference, taken
 from a smallest-prime-factor table when n <= sqrt(hi) and otherwise
 (where r < sqrt(hi)) from a gcd with the primes in range, and only the
 moduli n*r reach the search. The walk visits about hi^0.7 values of n
 whatever the width, so a range narrower than hi^(3/4) sieves its
-integers instead, as the reducible search always does. Both sources
-apply r^2 < m, the generator by construction and the sieve path by one
-multiply before the filter, which rules out about two thirds of the
-sieved moduli. Both hand each modulus to the same filter and walk, so
-their records agree byte for byte.
+integers instead. Both sources apply r^2 < m, the generator by
+construction and the sieve path by one multiply before the filter,
+which rules out about two thirds of the sieved moduli. Both hand each
+modulus to the same filter and walk, so their records agree byte for
+byte.
 
 For the moduli that pass the filter, the same residue tables prune the
 walk: the prime placed next must collide at its predecessor set, and
 every unplaced prime must still have a colliding set containing the
 primes placed so far. The collision tables and the walk read two cached
 per-k tables: the masks without each prime and the primes of each mask.
-Reducible pairs may share predecessor sets, so the search that keeps
-them uses neither rule and files all k! orderings.
 
 Everything the walk reads below a prefix (the tables, the pruning and
 each digit prod(S_p) mod p times its weight) is indexed by the mask of
 primes placed, so the completions of a mask are the same on every path
 that reaches it. The walk therefore stops at depth k - floor(k/2),
 lists the completions of each mask it reaches there once, as (key
-offset, code suffix), and files the prefix plus each of them. In the
-irreducible search a class whose orderings all pass through one
-cut-depth mask shares that proper prefix, so it is dropped before any
-ordering is decoded; the search that keeps reducible pairs keeps it.
-Memory still grows with the orderings filed: the products of the first
-nine and ten primes take about 40 MB and 0.55 GB in either mode, as
-primes that small prune little.
+offset, code suffix), and files the prefix plus each of them. A class
+whose orderings all pass through one cut-depth mask shares that proper
+prefix, so it is dropped before any ordering is decoded. Memory still
+grows with the orderings filed: the products of the first nine and ten
+primes take about 40 MB and 0.55 GB, as primes that small prune little.
 
 A permutation-enumeration oracle is provided for cross-checking, plus a
 density report for the expected spacing of loop bases. The pairs of the
@@ -114,10 +112,12 @@ class SearchConfig:
     hi: int
     min_k: int = 3
     coprime_to: int = 1
-    irreducible_only: bool = True
+    irreducible_only: bool = True  # the one mode; any other value is refused
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        if self.irreducible_only is not True:
+            raise ValueError("the range search lists irreducible pairs only")
         if not 1 <= self.lo <= self.hi:
             raise ValueError("need 1 <= lo <= hi")
         if self.min_k < 3:
@@ -195,21 +195,19 @@ def _collision_masks(primes: Sequence[int], value: Sequence[int],
 
 
 def _pair_search(m: int, primes: Sequence[int],
-                 irreducible_only: bool) -> list[tuple[tuple[int, ...],
-                                                       tuple[int, ...]]]:
+                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Core search; returns canonical (P, Q) tuples."""
     # the largest-prime lemma (r^2 < m, one multiply) and the filter run
     # before _backtrack, so a rejected modulus allocates none of the walk's
     # closure cells
-    if len(primes) < 3 or (irreducible_only and (
-            primes[-1] ** 2 > m or _collision_free_prime(primes))):
+    if (len(primes) < 3 or primes[-1] ** 2 > m
+            or _collision_free_prime(primes)):
         return []
-    return _backtrack(primes, irreducible_only)
+    return _backtrack(primes)
 
 
 def _backtrack(primes: Sequence[int],
-               irreducible_only: bool) -> list[tuple[tuple[int, ...],
-                                                     tuple[int, ...]]]:
+               ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pruned walk over orderings behind ``_pair_search``, grouping
     them by residue vector."""
     k = len(primes)
@@ -221,10 +219,7 @@ def _backtrack(primes: Sequence[int],
         p = primes[b]
         for mask in range(bit):
             value[mask | bit] = value[mask] * p
-    if irreducible_only:
-        exact, allow = _collision_masks(primes, value)
-    else:
-        exact = allow = [full ^ used for used in range(full + 1)]
+    exact, allow = _collision_masks(primes, value)
     # digit weights of the mixed-radix class key
     weight = [value[(1 << b) - 1] for b in range(k)]
     bits = _mask_tables(k)[1]
@@ -284,11 +279,11 @@ def _backtrack(primes: Sequence[int],
         codes = (first[key], *codes)
         # orderings through one cut-depth mask share that proper prefix,
         # so such a class holds no irreducible pair
-        if irreducible_only and len({lead[c % scale] for c in codes}) == 1:
+        if len({lead[c % scale] for c in codes}) == 1:
             continue
         members = sorted(map(ordering, codes))
         for P, Q in itertools.combinations(members, 2):
-            if not (irreducible_only and _share_proper_prefix(P, Q)):
+            if not _share_proper_prefix(P, Q):
                 pairs.append((P, Q))
     return sorted(pairs)
 
@@ -328,24 +323,26 @@ def _require_squarefree(m: int, fz: Factorization) -> tuple[int, ...]:
     return fz.primes
 
 
-def search_modulus(m: int, fz: Factorization,
-                   irreducible_only: bool = True) -> list[PairRecord]:
-    """Every unordered pair {P, Q} of equivalent distinct orderings of m.
+def search_modulus(m: int, fz: Factorization) -> list[PairRecord]:
+    """Every irreducible pair {P, Q} of equivalent orderings of m: their
+    proper prefix products differ throughout, so each is a genuine loop.
 
     Records are deduplicated canonically and each carries the pair's
-    residue class. With ``irreducible_only`` the proper prefix products
-    must differ throughout, i.e. only genuine loops are kept.
+    residue class.
     """
     primes = _require_squarefree(m, fz)
-    return _records_for(_pair_search(m, primes, irreducible_only))
+    return _records_for(_pair_search(m, primes))
 
 
 def brute_force_pairs(m: int, fz: Factorization,
-                      irreducible_only: bool = False) -> list[PairRecord]:
-    """Ground-truth oracle: group all orderings by residue class.
+                      irreducible_only: bool = True) -> list[PairRecord]:
+    """Ground-truth oracle for ``search_modulus``: group all orderings
+    by residue class and keep the irreducible pairs of each group.
 
     Factorially expensive, so limited to omega <= 8.
     """
+    if irreducible_only is not True:
+        raise ValueError("the oracle lists irreducible pairs only")
     primes = _require_squarefree(m, fz)
     if len(primes) > MAX_BRUTE_OMEGA:
         raise TooManyFactors(f"omega({m}) exceeds {MAX_BRUTE_OMEGA}")
@@ -355,7 +352,7 @@ def brute_force_pairs(m: int, fz: Factorization,
     pairs = []
     for members in groups.values():
         for P, Q in itertools.combinations(sorted(members), 2):
-            if not (irreducible_only and _share_proper_prefix(P, Q)):
+            if not _share_proper_prefix(P, Q):
                 pairs.append((P, Q))
     return _records_for(sorted(pairs))
 
@@ -479,9 +476,9 @@ def _generates_candidates(cfg: SearchConfig) -> bool:
     generator rather than the sieve.
 
     The generator visits about hi^0.7 values of n whatever the width, so
-    it serves irreducible searches at least hi^(3/4) wide.
+    it serves ranges at least hi^(3/4) wide.
     """
-    return cfg.irreducible_only and (cfg.hi - cfg.lo + 1) ** 4 >= cfg.hi ** 3
+    return (cfg.hi - cfg.lo + 1) ** 4 >= cfg.hi ** 3
 
 
 def _candidate_chunks(cfg: SearchConfig, bounds: Sequence[tuple[int, int]],
@@ -507,21 +504,21 @@ def _candidate_chunks(cfg: SearchConfig, bounds: Sequence[tuple[int, int]],
     def moduli(flat: array) -> list[tuple[int, list[int]]]:
         return [(m, [*nodes[i], m // prod(nodes[i])])
                 for m, i in sorted(zip(flat[::2], flat[1::2]))]
-    return ((start, end, cfg.min_k, cfg.coprime_to, True, moduli(flat))
+    return ((start, end, cfg.min_k, cfg.coprime_to, moduli(flat))
             for (start, end), flat in zip(bounds, buckets))
 
 
 def _search_chunk(args: tuple) -> list[PairRecord]:
-    """The records of one chunk (lo, hi, min_k, coprime_to,
-    irreducible_only), from the sieve or, when a sixth item is given, from
-    that list of (modulus, primes) candidates."""
-    lo, hi, min_k, coprime_to, irreducible_only = args[:5]
+    """The records of one chunk (lo, hi, min_k, coprime_to), from the
+    sieve or, when a fifth item is given, from that list of (modulus,
+    primes) candidates."""
+    lo, hi, min_k, coprime_to = args[:4]
     moduli: Iterable[tuple[int, list[int]]] = (
-        args[5] if len(args) > 5 else
+        args[4] if len(args) > 4 else
         squarefree_stream(lo, hi, min_k, coprime_to, primes_only=True))
     out: list[PairRecord] = []
     for m, primes in moduli:
-        pairs = _pair_search(m, primes, irreducible_only)
+        pairs = _pair_search(m, primes)
         if pairs:
             out.extend(_records_for(pairs))
     return out
@@ -591,8 +588,8 @@ def search_range(cfg: SearchConfig,
         # the workers fork before the candidates exist, so hold no copy
         chunks: Iterable[tuple] = (
             _candidate_chunks(cfg, bounds) if _generates_candidates(cfg)
-            else [(start, end, cfg.min_k, cfg.coprime_to,
-                   cfg.irreducible_only) for start, end in bounds])
+            else [(start, end, cfg.min_k, cfg.coprime_to)
+                  for start, end in bounds])
         batches = (pool.imap(_search_chunk, chunks) if parallel
                    else map(_search_chunk, chunks))
         for (_, end), recs in zip(bounds, batches):

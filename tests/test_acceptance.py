@@ -52,8 +52,7 @@ def test_criterion_02_quadruple_table():
             assert qc is not None and qc.case == case, (primes, case)
             expected_by_modulus.setdefault(modulus, set()).update(residues)
         for modulus, expect in expected_by_modulus.items():
-            recs = ms.search_modulus(modulus, factor(modulus),
-                                     irreducible_only=True)
+            recs = ms.search_modulus(modulus, factor(modulus))
             got = {rc.a for r in recs for rc in r.residues}
             assert got == expect, (modulus, got, expect)
 
@@ -64,7 +63,7 @@ def test_criterion_03_coprime_table_and_density():
         for prime_set, modulus, residues, inv_density in COPRIME_ROWS:
             fz = factor(modulus)
             assert fz.primes == tuple(sorted(prime_set))
-            recs = ms.brute_force_pairs(modulus, fz, irreducible_only=True)
+            recs = ms.brute_force_pairs(modulus, fz)
             got = {rc.a for r in recs for rc in r.residues}
             assert got == set(residues), (modulus, got)
             rep = ms.density_report(recs)
@@ -73,19 +72,15 @@ def test_criterion_03_coprime_table_and_density():
 
 def test_criterion_04_oracle_equivalence():
     with criterion(4, "search equals brute force for every squarefree "
-                      "modulus below 1e5, both modes", budget=900.0):
+                      "modulus below 1e5", budget=900.0):
         for m, fz in squarefree_stream(2, 10 ** 5, 3):
-            for irr in (False, True):
-                fast = ms.search_modulus(m, fz, irr)
-                slow = ms.brute_force_pairs(m, fz, irr)
-                assert fast == slow, (m, irr)
+            assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz), m
 
 
 def test_criterion_05_range_search_to_1e7():
     with criterion(5, "range search to 1e7 covers the tabulated rows",
                    budget=900.0):
-        cfg = ms.SearchConfig(2, 10 ** 7, irreducible_only=True,
-                              worker_count=2)
+        cfg = ms.SearchConfig(2, 10 ** 7, worker_count=2)
         found = {}
         kinds = collections.Counter()
         for rec in ms.search_range(cfg):

@@ -27,8 +27,7 @@ def run_capture(argv):
 
 
 def test_search_pairs_stream():
-    code, out = run_capture(["search-pairs", "--lo", "2", "--hi", "1000",
-                             "--irreducible-only"])
+    code, out = run_capture(["search-pairs", "--lo", "2", "--hi", "1000"])
     assert code == 0
     lines = out.strip().splitlines()
     records = [PairRecord.from_json_line(l) for l in lines]
@@ -39,8 +38,7 @@ def test_search_pairs_stream():
 def test_search_pairs_round_trip_and_determinism(tmp_path):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
-    argv = ["search-pairs", "--lo", "2", "--hi", "2000",
-            "--irreducible-only"]
+    argv = ["search-pairs", "--lo", "2", "--hi", "2000"]
     assert cli.run(argv + ["--out", str(out1)]) == 0
     assert cli.run(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -50,9 +48,19 @@ def test_search_pairs_round_trip_and_determinism(tmp_path):
                for r, l in zip(records, out1.read_text().splitlines()))
 
 
+def test_search_pairs_flag_changes_nothing(tmp_path):
+    # every search is irreducible; --irreducible-only still parses
+    argv = ["search-pairs", "--lo", "2", "--hi", "140000", "--out"]
+    plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+    assert cli.run(argv + [str(plain)]) == 0
+    assert cli.run(argv + [str(flagged), "--irreducible-only"]) == 0
+    assert len(plain.read_bytes().splitlines()) == 416
+    assert plain.read_bytes() == flagged.read_bytes()
+
+
 def _search_argv(out, ck):
     return ["search-pairs", "--lo", "2", "--hi", "140000",
-            "--irreducible-only", "--checkpoint", str(ck), "--out", str(out)]
+            "--checkpoint", str(ck), "--out", str(out)]
 
 
 def test_search_pairs_rerun_keeps_output(tmp_path):
@@ -93,8 +101,8 @@ def test_search_pairs_damaged_checkpoint(tmp_path):
 
 def test_search_pairs_checkpoint_of_another_job(tmp_path):
     out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
-    argv = ["search-pairs", "--lo", "2", "--irreducible-only",
-            "--checkpoint", str(ck), "--out", str(out)]
+    argv = ["search-pairs", "--lo", "2", "--checkpoint", str(ck),
+            "--out", str(out)]
     assert cli.run(argv + ["--hi", "3000"]) == 0
     full = out.read_bytes()
     assert len(full.splitlines()) == 40
@@ -105,8 +113,7 @@ def test_search_pairs_checkpoint_of_another_job(tmp_path):
 
 def test_search_pairs_checkpoint_of_overlapping_job(tmp_path):
     out, ck = tmp_path / "pairs.jsonl", tmp_path / "pairs.ck"
-    argv = ["search-pairs", "--irreducible-only", "--checkpoint", str(ck),
-            "--out", str(out)]
+    argv = ["search-pairs", "--checkpoint", str(ck), "--out", str(out)]
     assert cli.run(argv + ["--lo", "2", "--hi", "65537"]) == 0
     full, state = out.read_bytes(), ck.read_bytes()
     assert state == b"65537 271\n"
@@ -448,8 +455,7 @@ def test_bad_input_leaves_out_intact(tmp_path, bad_input):
         bad.write_text("not a cache line\n")
         argv = ["sequence", "--steps", "3", "--cache", str(bad)]
     elif bad_input == "search lo":  # a job for the generator path
-        argv = ["search-pairs", "--lo", "0", "--hi", "100000",
-                "--irreducible-only"]
+        argv = ["search-pairs", "--lo", "0", "--hi", "100000"]
     elif bad_input == "watch file":  # a missing file
         argv = ["explore", "--bound", "5", "--max-level", "2",
                 "--watch", str(bad)]

@@ -39,18 +39,13 @@ def test_search_modulus_small_omega_empty():
 
 
 def test_search_modulus_210():
-    recs = ms.search_modulus(210, factor(210), irreducible_only=True)
+    recs = ms.search_modulus(210, factor(210))
     assert residues_of(recs) == {107, 149}
     assert all(r.kind == "quadruple-case-II" for r in recs)
-    # reducible pairs appear once the irreducibility filter is dropped
-    all_pairs = ms.search_modulus(210, factor(210), irreducible_only=False)
-    assert len(all_pairs) > len(recs)
-    assert all(not tp.is_irreducible_pair(r.p.primes, r.q.primes)
-               for r in all_pairs if r.residues[0].a not in {107, 149})
 
 
 def test_search_modulus_858():
-    recs = ms.search_modulus(858, factor(858), irreducible_only=True)
+    recs = ms.search_modulus(858, factor(858))
     assert residues_of(recs) == {467, 779, 571, 857}
     kinds = sorted(r.kind for r in recs)
     assert kinds == ["quadruple-case-I", "quadruple-case-I",
@@ -92,7 +87,16 @@ def test_record_surface_the_benchmark_reads():
 def test_brute_force_examples():
     assert ms.brute_force_pairs(105, factor(105)) == []
     recs = ms.brute_force_pairs(30, factor(30))
-    assert recs == ms.search_modulus(30, factor(30), irreducible_only=False)
+    assert recs == ms.search_modulus(30, factor(30))
+
+
+def test_one_search_mode():
+    # the search and its oracle list irreducible pairs only, and the
+    # keyword that names that mode takes no other value
+    with pytest.raises(ValueError, match="irreducible pairs only"):
+        ms.SearchConfig(2, 100, irreducible_only=False)
+    with pytest.raises(ValueError, match="irreducible pairs only"):
+        ms.brute_force_pairs(30, factor(30), irreducible_only=False)
 
 
 def test_brute_force_guard():
@@ -106,7 +110,7 @@ def test_brute_force_coprime_rows(row, request):
     prime_set, m, residues, inv_density = row
     fz = factor(m)
     assert fz.primes == tuple(sorted(prime_set))
-    recs = ms.brute_force_pairs(m, fz, irreducible_only=True)
+    recs = ms.brute_force_pairs(m, fz)
     assert residues_of(recs) == set(residues)
     rep = ms.density_report(recs)
     assert rep.inverse_density == inv_density
@@ -114,9 +118,7 @@ def test_brute_force_coprime_rows(row, request):
 
 def test_oracle_equivalence_sampled():
     for m, fz in squarefree_stream(2, 6000, 3):
-        for irr in (False, True):
-            assert ms.search_modulus(m, fz, irr) == \
-                ms.brute_force_pairs(m, fz, irr), (m, irr)
+        assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz), m
 
 
 @given(st.integers(min_value=6000, max_value=99999))
@@ -126,9 +128,7 @@ def test_oracle_equivalence_random(m):
     if not entries:
         return
     m, fz = entries[0]
-    for irr in (False, True):
-        assert ms.search_modulus(m, fz, irr) == \
-            ms.brute_force_pairs(m, fz, irr)
+    assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz)
 
 
 @pytest.mark.parametrize("m", [510510, 570570, 9699690,
@@ -136,64 +136,56 @@ def test_oracle_equivalence_random(m):
 def test_oracle_equivalence_deep_chains(m):
     # nothing below 1e5 has 7+ prime factors, so exercise those chain
     # depths explicitly against the permutation oracle; in the last two
-    # (k = 8, largest primes 263 and 97) the irreducible walk drops 758 of
-    # 1718 and 720 of 1234 classes whose orderings all pass through one
-    # half-depth mask
+    # (k = 8, largest primes 263 and 97) the walk drops 758 of 1718 and
+    # 720 of 1234 classes whose orderings all pass through one half-depth
+    # mask
     fz = factor(m)
     assert fz.omega >= 7
-    for irr in (False, True):
-        assert ms.search_modulus(m, fz, irr) == \
-            ms.brute_force_pairs(m, fz, irr)
+    assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz)
 
 
-@pytest.mark.parametrize("irr, count, digest", [
-    (True, 668,
-     "5aa6dc919bf09a0c1819c206aedc93eadbaa07ee27f27bb6c6a5713d9cd21d62"),
-    (False, 40104,
-     "88f49c78f118efa0b5b799321c9eb92978783bbf81a120a792c0e2629bcafcd3"),
-], ids=["irreducible", "reducible"])
-def test_nine_primes_pinned(irr, count, digest):
+@pytest.mark.parametrize("count, digest", [
+    (668, "5aa6dc919bf09a0c1819c206aedc93eadbaa07ee27f27bb6c6a5713d9cd21d62"),
+], ids=["irreducible"])
+def test_nine_primes_pinned(count, digest):
     # the oracle stops at omega 8; count and sha256 of the JSONL records
     # of the product of the first nine primes are pinned instead
     m = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-    recs = ms.search_modulus(m, factor(m), irr)
+    recs = ms.search_modulus(m, factor(m))
     assert len(recs) == count
     text = "".join(r.to_json_line() + "\n" for r in recs)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    if irr:
-        assert all(tp.is_irreducible_pair(r.p.primes, r.q.primes)
-                   for r in recs)
+    assert all(tp.is_irreducible_pair(r.p.primes, r.q.primes) for r in recs)
 
 
 def test_search_modulus_checks_primes():
     # records are built from the primes of the factorization unchecked,
     # after one check of those primes per modulus
     fz = Factorization(270, ((2, 1), (3, 1), (5, 1), (9, 1)))
-    assert ms._pair_search(270, fz.primes, True)
-    for irr in (False, True):
-        with pytest.raises(ValueError, match="9 is not prime"):
-            ms.search_modulus(270, fz, irr)
+    assert ms._pair_search(270, fz.primes)
+    with pytest.raises(ValueError, match="9 is not prime"):
+        ms.search_modulus(270, fz)
 
 
-@pytest.mark.parametrize("lo, hi", [(10 ** 8, 10 ** 8 + 3000), (2, 60000)])
-@pytest.mark.parametrize("irr", [True, False], ids=["irr", "red"])
-def test_search_chunk_matches_search_modulus(lo, hi, irr):
+@pytest.mark.parametrize("lo, hi", [(10 ** 8, 10 ** 8 + 3000), (2, 60000)],
+                         ids=["irr-100000000-100003000", "irr-2-60000"])
+def test_search_chunk_matches_search_modulus(lo, hi):
     # the range driver takes plain prime lists from the stream; its
     # records must be those of search_modulus on the Factorization items
     expect = [rec for m, fz in squarefree_stream(lo, hi, 3)
-              for rec in ms.search_modulus(m, fz, irr)]
-    assert ms._search_chunk((lo, hi, 3, 1, irr)) == expect
+              for rec in ms.search_modulus(m, fz)]
+    assert ms._search_chunk((lo, hi, 3, 1)) == expect
 
 
 def test_search_chunk_builds_no_factorization(monkeypatch):
-    expect = ms._search_chunk((2, 20000, 3, 1, True))
+    expect = ms._search_chunk((2, 20000, 3, 1))
     assert expect
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Factorization was built per modulus")
 
     monkeypatch.setattr(arith, "Factorization", refuse)
-    assert ms._search_chunk((2, 20000, 3, 1, True)) == expect
+    assert ms._search_chunk((2, 20000, 3, 1)) == expect
 
 
 # collision filter -----------------------------------------------------------
@@ -205,8 +197,7 @@ def test_oracle_equivalence_high_window():
     for m, fz in squarefree_stream(10 ** 8, 10 ** 8 + 3000, 3):
         if fz.omega > 7:
             continue
-        assert ms.search_modulus(m, fz, True) == \
-            ms.brute_force_pairs(m, fz, True), m
+        assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz), m
         if ms._collision_free_prime(fz.primes):
             rejected.add(fz.omega)
     assert rejected >= {3, 4, 5}
@@ -216,7 +207,7 @@ def test_collision_lemma_on_coprime_rows():
     # each prime of an irreducible pair has distinct predecessor sets S, T
     # in P and Q with equal products mod the prime
     for _, m, _, _ in COPRIME_ROWS:
-        recs = ms.brute_force_pairs(m, factor(m), irreducible_only=True)
+        recs = ms.brute_force_pairs(m, factor(m))
         assert recs
         for r in recs:
             P, Q = r.p.primes, r.q.primes
@@ -283,9 +274,9 @@ def test_collision_masks_match_definition():
 
 
 def test_lemma_skips_the_filter(monkeypatch):
-    # with P(m)^2 > m the irreducible search answers before the filter
+    # with P(m)^2 > m the search answers before the filter
     lo, hi = 10 ** 8, 10 ** 8 + 3000
-    expect = ms._search_chunk((lo, hi, 3, 1, True))
+    expect = ms._search_chunk((lo, hi, 3, 1))
     filter_ = ms._collision_free_prime
 
     def guarded(primes):
@@ -293,22 +284,20 @@ def test_lemma_skips_the_filter(monkeypatch):
         return filter_(primes)
 
     monkeypatch.setattr(ms, "_collision_free_prime", guarded)
-    assert ms._search_chunk((lo, hi, 3, 1, True)) == expect
+    assert ms._search_chunk((lo, hi, 3, 1)) == expect
 
 
-@pytest.mark.parametrize("lo, irr, digest", [
-    (10 ** 8, True,
+@pytest.mark.parametrize("lo, digest", [
+    (10 ** 8,
      "1e799dc65723ae85f6e6ccf1be83e6d974842f046757d6a3a96242c488b0a46d"),
-    (10 ** 8, False,
-     "1d247ff5c099d2708e2bdefca7e44a3d6b281e8148eaa0831e4caa875acb5b4e"),
-    # the irreducible search finds no pair above 10^8 in 20000, but 34
-    # on 3 moduli above 10^6
-    (10 ** 6, True,
+    # the search finds no pair above 10^8 in 20000, but 34 on 3 moduli
+    # above 10^6
+    (10 ** 6,
      "53d0af209f3ebaedd5938fa23c5c47e7043dbdb48791b9470c4eca47f21fa4d6"),
-], ids=["1e8-irr", "1e8-red", "1e6-irr"])
-def test_pair_search_pinned(lo, irr, digest):
+], ids=["1e8-irr", "1e6-irr"])
+def test_pair_search_pinned(lo, digest):
     # sha256 of one line "m [pairs]" per squarefree modulus with k >= 3
-    text = "".join(f"{m} {ms._pair_search(m, primes, irr)}\n"
+    text = "".join(f"{m} {ms._pair_search(m, primes)}\n"
                    for m, primes in squarefree_stream(lo, lo + 20000, 3,
                                                       primes_only=True))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -370,11 +359,11 @@ def test_density_examples():
     assert rep == ms.DensityReport(30, 2, 4)
 
 
-def test_density_full_group_210():
-    recs = ms.search_modulus(210, factor(210), irreducible_only=False)
+def test_density_858():
+    recs = ms.search_modulus(858, factor(858))
     rep = ms.density_report(recs)
-    assert rep.class_count == 6
-    assert rep.inverse_density == 8
+    assert rep.class_count == 4
+    assert rep.inverse_density == 60
 
 
 def test_density_reduced_fraction():
@@ -388,7 +377,7 @@ def test_density_reduced_fraction():
 # search_range ---------------------------------------------------------------
 
 def test_search_range_examples():
-    cfg = ms.SearchConfig(2, 10_000, irreducible_only=True)
+    cfg = ms.SearchConfig(2, 10_000)
     recs = list(ms.search_range(cfg))
     by_modulus = {}
     for r in recs:
@@ -411,8 +400,7 @@ def test_search_range_empty_below_30():
 
 
 def test_search_range_coprime_filter():
-    cfg = ms.SearchConfig(2, 10 ** 6, coprime_to=1806,
-                          irreducible_only=True)
+    cfg = ms.SearchConfig(2, 10 ** 6, coprime_to=1806)
     assert list(ms.search_range(cfg)) == []
 
 
@@ -430,13 +418,11 @@ def _on_path(generate):
 
 
 def test_generator_path_rule():
-    # wide irreducible ranges generate; windows and reducible ranges sieve
+    # wide ranges generate; windows sieve
     assert ms._generates_candidates(ms.SearchConfig(2, 4 * 65536 + 1))
     assert ms._generates_candidates(ms.SearchConfig(10 ** 8, 2 * 10 ** 8))
     assert not ms._generates_candidates(ms.SearchConfig(10 ** 8,
                                                         10 ** 8 + 4999))
-    assert not ms._generates_candidates(
-        ms.SearchConfig(2, 4 * 65536 + 1, irreducible_only=False))
 
 
 @given(st.integers(2, 150_000), st.integers(0, 150_000),
