@@ -112,7 +112,7 @@ class SearchConfig:
     hi: int
     min_k: int = 3
     coprime_to: int = 1
-    irreducible_only: bool = True  # the one mode; any other value is refused
+    irreducible_only: bool = True  # True only; ROADMAP item 5 deletes it
     worker_count: int = 1
 
     def __post_init__(self) -> None:
