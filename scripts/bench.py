@@ -27,6 +27,10 @@ Jobs:
            the record count, the sha256 of the JSONL output and the peak
            resident set of the process in MB, over all its runs, so it
            also counts what one run leaves alive into the next.
+  curve    one elliptic curve (sigma 6) at each B1 of 2000, 11000 and
+           50000 on a fixed 210-bit semiprime whose two primes no curve
+           can find. Keeps the median time of the curve at each B1 over
+           the repeats, and what each curve returned (null: no split).
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -51,7 +55,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from emgraph.arith import EffortPolicy, factor, squarefree_stream
+from emgraph.arith import (EffortPolicy, _ecm_curve, factor,
+                           squarefree_stream)
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
 from emgraph.modsearch import (SearchConfig, _collision_free_prime,
                                search_modulus, search_range)
@@ -81,6 +86,21 @@ def _pairs_summary(recs: list) -> dict:
             "jsonl_sha256": _jsonl_sha256(recs)}
 
 
+def _curves(p: dict) -> list:
+    """(seconds, result) of one curve at each of the job's B1."""
+    out = []
+    for b1 in p["b1"]:
+        t0 = time.perf_counter()
+        d = _ecm_curve(p["semiprime"], b1, p["sigma"], None)
+        out.append((time.perf_counter() - t0, d))
+    return out
+
+
+def _every_run(summary):
+    summary.every_run = True
+    return summary
+
+
 def _stages(p: dict, recs: list) -> dict:
     """Survivors of each pruning stage of the sieve path over the range."""
     sieved = lemma = passed = 0
@@ -93,10 +113,15 @@ def _stages(p: dict, recs: list) -> dict:
             "pairs": len({r.modulus for r in recs})}
 
 
+# nextprime(10**31) * nextprime(10**32)
+CURVE = {"semiprime": (10 ** 31 + 33) * (10 ** 32 + 49),
+         "b1": [2000, 11000, 50000], "sigma": 6}
+
 WINDOW = {"lo": 5 * 10 ** 8, "hi": 5 * 10 ** 8 + (1 << 20) - 1, "workers": 1}
 
 # job -> (the parameters kept in its record, a run of those parameters,
-# and the summary of the run's output kept in its record)
+# and the summary kept in its record of the last run's output; a summary
+# marked by _every_run is given every run's output instead)
 JOBS = {
     "census": (
         {"policy": STRETCH.__dict__, "max_level": 10},
@@ -126,6 +151,10 @@ JOBS = {
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}),
+    "curve": (CURVE, _curves, _every_run(lambda runs: {
+        "median_ms": [round(statistics.median(r[i][0] for r in runs) * 1000,
+                            1) for i in range(len(CURVE["b1"]))],
+        "splits": [d for _, d in runs[-1]]})),
 }
 
 
@@ -152,15 +181,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     params, run, summary = JOBS[args.job]
-    walls = []
+    every_run = getattr(summary, "every_run", False)
+    walls, runs = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         result = run(params)
         walls.append(round(time.perf_counter() - t0, 4))
+        if every_run:
+            runs.append(result)
     record = {"revision": revision(), "note": args.note, **params,
               "repeats": REPEATS, "median_wall_s": statistics.median(walls),
               "wall_s": walls, "cores": os.cpu_count(),
-              "python": platform.python_version(), **summary(result)}
+              "python": platform.python_version(),
+              **summary(runs if every_run else result)}
     out = Path(args.out or ROOT / f"BENCH_{args.job}.json")
     records = json.loads(out.read_text())["records"] if out.exists() else []
     records.append(record)

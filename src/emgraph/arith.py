@@ -428,17 +428,26 @@ def _perfect_power(n: int) -> Optional[tuple[int, int]]:
 
 def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
                polynomials: Sequence[int] = (1, 3, 5, 7, 11)) -> Optional[int]:
-    # Brent-style cycle finding with batched gcds; n odd composite.
+    # Brent-style cycle finding with batched gcds; n odd composite. The
+    # deadline is checked before every 128 steps.
+    def late() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     for c in polynomials:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         count = 0
         while g == 1 and count < max_iters:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                if late():
+                    return None
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                if late():
+                    return None
                 ys = y
                 batch = min(128, r - k)
                 for _ in range(batch):
@@ -448,8 +457,6 @@ def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
                 k += batch
             count += r
             r <<= 1
-            if deadline is not None and time.monotonic() > deadline:
-                return None
         if g == n:
             g = 1
             while g == 1:
@@ -471,11 +478,12 @@ _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2)
 _ECM_ROWS = 64  # giant steps per sieved segment of stage 2
 
 
-def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, bytes]]:
-    """(m, flags) for m = m0, m0 + 1, ...: flags[i] is 1 when m*D - j or
-    m*D + j, j = _ECM_BABY[i], is a prime in (b1, b2]. Sieved _ECM_ROWS
-    rows at a time, so memory does not grow with b2; the primes below D/2
-    are left to the baby steps themselves."""
+def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, list[bytes]]]:
+    """(m0, rows) for each segment of at most _ECM_ROWS giant steps m = m0,
+    m0 + 1, ...: rows[m - m0][i] is 1 when m*D - j or m*D + j, j =
+    _ECM_BABY[i], is a prime in (b1, b2]. Sieved a segment at a time, so
+    memory does not grow with b2; the primes below D/2 are left to the
+    baby steps themselves."""
     half, width = _ECM_D // 2, len(_ECM_BABY)
     m0, m_end = max(1, (b1 + half) // _ECM_D), (b2 + half) // _ECM_D + 1
     for ma in range(m0, m_end, _ECM_ROWS):
@@ -492,8 +500,7 @@ def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, bytes]]:
             hi = int.from_bytes(pf[half + j::_ECM_D][:rows], "little")
             seg[i::width] = (lo | hi).to_bytes(rows, "little")
         table = bytes(seg)
-        for r in range(rows):
-            yield ma + r, table[r * width:(r + 1) * width]
+        yield ma, [table[r * width:(r + 1) * width] for r in range(rows)]
 
 
 # Stage-2 rows up to the ramp's largest B2 (at most about 180 KB) are kept
@@ -502,97 +509,145 @@ _ECM_KEEP_B2 = 1_100_000
 
 
 @functools.lru_cache(maxsize=2)
-def _ecm_stage2_kept(b1: int, b2: int) -> tuple[tuple[int, bytes], ...]:
+def _ecm_stage2_kept(b1: int, b2: int) -> tuple[tuple[int, list[bytes]], ...]:
     return tuple(_ecm_stage2_rows(b1, b2))
+
+
+_ECM_PIECE_BITS = 4096  # stage-1 scalar bits between deadline checks
+
+
+@functools.lru_cache(maxsize=4)
+def _ecm_stage1_scalars(b1: int) -> tuple[int, ...]:
+    """The stage-1 scalar K, the product of the largest power <= b1 of
+    each prime <= b1, as factors of about _ECM_PIECE_BITS bits each."""
+    pieces, k = [], 1
+    for p in sieve_primes(b1):
+        pe = p
+        while pe * p <= b1:
+            pe *= p
+        k *= pe
+        if k.bit_length() >= _ECM_PIECE_BITS:
+            pieces.append(k)
+            k = 1
+    if k > 1:
+        pieces.append(k)
+    return tuple(pieces)
+
+
+def _ecm_ladder(k: int, x0: int, a24: int,
+                n: int) -> tuple[int, int, int, int]:
+    """X and Z of k*P and of (k+1)*P, k >= 1, for P = (x0 : 1) on the
+    Montgomery curve with (A + 2)/4 = a24 mod n. With P's Z at 1 each
+    differential addition costs one product less."""
+    s, d = (x0 + 1) * (x0 + 1) % n, (x0 - 1) * (x0 - 1) % n
+    t = s - d
+    x1, z1, x2, z2 = x0, 1, s * d % n, t * (d + a24 * t) % n
+    for bit in bin(k)[3:]:
+        d1, s1, d2, s2 = x1 - z1, x1 + z1, x2 - z2, x2 + z2
+        a, b = d1 * s2, s1 * d2
+        e, f = (a + b) % n, (a - b) % n
+        xa, za = e * e % n, x0 * f * f % n  # the sum, P its difference
+        if bit == "1":  # (k, k+1) -> (2k+1, 2k+2)
+            s, d = s2 * s2 % n, d2 * d2 % n
+            t = s - d
+            x1, z1, x2, z2 = xa, za, s * d % n, t * (d + a24 * t) % n
+        else:  # (k, k+1) -> (2k, 2k+1)
+            s, d = s1 * s1 % n, d1 * d1 % n
+            t = s - d
+            x1, z1, x2, z2 = s * d % n, t * (d + a24 * t) % n, xa, za
+    return x1, z1, x2, z2
+
+
+def _ecm_affine(points: list[tuple[int, int]], n: int
+                ) -> tuple[int, list[int]]:
+    """(g, xs): xs[i] = x/z mod n of points[i] = (x, z), all by one
+    inversion (Montgomery's trick), when g = gcd(prod z, n) is 1; when g
+    exceeds 1, xs is empty."""
+    prefix, acc = [], 1
+    for _, z in points:
+        prefix.append(acc)
+        acc = acc * z % n
+    g = math.gcd(acc, n)
+    if g > 1:
+        return g, []
+    inv = pow(acc, -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, z = points[i]
+        xs[i] = x * inv * prefix[i] % n
+        inv = inv * z % n
+    return 1, xs
 
 
 def _ecm_curve(n: int, b1: int, sigma: int,
                deadline: Optional[float]) -> Optional[int]:
     """One elliptic curve on n: stage 1 to b1, then Montgomery's standard
-    continuation to _ECM_B2_RATIO * b1. A proper factor of n, or None."""
-    # Montgomery curve, Suyama parametrization, x-only arithmetic.
+    continuation to _ECM_B2_RATIO * b1. A proper factor of n, or None.
+
+    Montgomery curve, Suyama parametrization, x-only arithmetic. Stage 1
+    multiplies the start point by each factor of _ecm_stage1_scalars(b1)
+    in one ladder, scaling the point to Z = 1 between factors. Stage 2
+    scales the baby steps, and each segment's giant steps, to Z = 1 by one
+    inversion, so each of its primes costs one product. A Z that is not
+    invertible mod n splits n there."""
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
-    x = pow(u, 3, n)
-    z = pow(v, 3, n)
+    x, z = pow(u, 3, n), pow(v, 3, n)
     num = pow(v - u, 3, n) * (3 * u + v) % n
     den = 16 * x * v % n
-    g = math.gcd(den, n)
+    g = math.gcd(den, n)  # z = v**3 is a unit when den is
     if g > 1:
         return g if g < n else None
-    a24 = num * pow(den, -1, n) % n
+    inv = pow(den * z, -1, n)
+    a24, x = num * z * inv % n, x * den * inv % n
 
-    def x_double(x1, z1):
-        s = (x1 + z1) * (x1 + z1) % n
-        d = (x1 - z1) * (x1 - z1) % n
-        t = s - d
-        return s * d % n, t * (d + a24 * t) % n
+    for k in _ecm_stage1_scalars(b1):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        x, z, _, _ = _ecm_ladder(k, x, a24, n)
+        g = math.gcd(z, n)
+        if g > 1:
+            return g if g < n else None
+        x = x * pow(z, -1, n) % n
 
     def x_add(x1, z1, x2, z2, xd, zd):
         a = (x1 - z1) * (x2 + z2) % n
         b = (x1 + z1) * (x2 - z2) % n
         return zd * (a + b) * (a + b) % n, xd * (a - b) * (a - b) % n
 
-    def ladder(k, x0, z0):
-        # k*P and (k+1)*P
-        x1, z1 = x0, z0
-        x2, z2 = x_double(x0, z0)
-        for bit in bin(k)[3:]:
-            if bit == "1":
-                x1, z1 = x_add(x2, z2, x1, z1, x0, z0)
-                x2, z2 = x_double(x2, z2)
-            else:
-                x2, z2 = x_add(x1, z1, x2, z2, x0, z0)
-                x1, z1 = x_double(x1, z1)
-        return x1, z1, x2, z2
-
-    for p in sieve_primes(b1):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        pe = p
-        while pe * p <= b1:
-            pe *= p
-        x, z, _, _ = ladder(pe, x, z)
-    g = math.gcd(z, n)
-    if g > 1:
-        return g if g < n else None
-
-    # Baby steps: x(j*Q) for the odd j < D/2 coprime to D, scaled to z = 1
-    # by one inversion. Their z's vanish mod p when Q's order divides j.
-    x2, z2 = x_double(x, z)
-    odd = [(x, z), x_add(x2, z2, x, z, x, z)]  # Q, 3Q, 5Q, ...
+    # Baby steps x(j*Q) for the odd j < D/2 coprime to D, and the giant
+    # step R = D*Q. Their z's vanish mod p when Q's order divides j or D.
+    x2, z2, x3, z3 = _ecm_ladder(2, x, a24, n)
+    odd = [(x, 1), (x3, z3)]  # Q, 3Q, 5Q, ...
     while len(odd) <= _ECM_BABY[-1] // 2:
         odd.append(x_add(*odd[-1], x2, z2, *odd[-2]))
-    baby = [odd[j // 2] for j in _ECM_BABY]
-    prefix, acc = [], 1
-    for _, zj in baby:
-        prefix.append(acc)
-        acc = acc * zj % n
-    g = math.gcd(acc, n)
+    g, xs = _ecm_affine([*(odd[j // 2] for j in _ECM_BABY),
+                         _ecm_ladder(_ECM_D, x, a24, n)[:2]], n)
     if g > 1:
         return g if g < n else None
-    inv = pow(acc, -1, n)
-    xs = [0] * len(baby)
-    for i in range(len(baby) - 1, -1, -1):
-        xj, zj = baby[i]
-        xs[i] = xj * inv * prefix[i] % n
-        inv = inv * zj % n
+    rx = xs.pop()
 
-    # Giant steps m*R, R = D*Q: q*Q = O mod p for q = m*D +- j exactly
-    # when x(m*R) = x(j*Q) mod p, so multiply the differences together.
-    rx, rz, _, _ = ladder(_ECM_D, x, z)
+    # Giant steps m*R: q*Q = O mod p for q = m*D +- j exactly when
+    # x(m*R) = x(j*Q) mod p, so multiply the differences together.
     b2 = _ECM_B2_RATIO * b1
-    rows = (_ecm_stage2_kept(b1, b2) if b2 <= _ECM_KEEP_B2
-            else _ecm_stage2_rows(b1, b2))
+    segments = (_ecm_stage2_kept(b1, b2) if b2 <= _ECM_KEEP_B2
+                else _ecm_stage2_rows(b1, b2))
     acc, xm = 1, None
-    for m, flags in rows:
-        if deadline is not None and time.monotonic() > deadline:
-            return None
+    for ma, rows in segments:
         if xm is None:
-            xm, zm, xn, zn = ladder(m, rx, rz)
-        for xj in itertools.compress(xs, flags):
-            acc = acc * (xm - xj * zm) % n
-        xm, zm, (xn, zn) = xn, zn, x_add(xn, zn, rx, rz, xm, zm)
+            xm, zm, xn, zn = _ecm_ladder(ma, rx, a24, n)
+        giant = []
+        for _ in rows:
+            giant.append((xm, zm))
+            xm, zm, (xn, zn) = xn, zn, x_add(xn, zn, rx, 1, xm, zm)
+        g, gxs = _ecm_affine(giant, n)
+        if g > 1:
+            return g if g < n else None
+        for gx, flags in zip(gxs, rows):
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            for xj in itertools.compress(xs, flags):
+                acc = acc * (gx - xj) % n
     g = math.gcd(acc, n)
     return g if 1 < g < n else None
 
@@ -608,7 +663,7 @@ _ECM_RAMP = ((25, 2_000), (90, 11_000))
 # Census checkpoints record it with the policy, so one saved under another
 # ladder, whose blocked counts this one need not reproduce, is refused
 # rather than resumed or overwritten: delete it to start again.
-LADDER_VERSION = 2
+LADDER_VERSION = 3
 
 
 def _ecm_bounds(policy: EffortPolicy) -> Iterator[int]:

@@ -366,7 +366,7 @@ def _stage1_point_order(sigma, p, b1):
     B = (x ** 3 + A * x * x + x) % p  # puts (x, 1) on the curve
     Q = (x, 1)
     for q in sympy.primerange(2, b1 + 1):
-        Q = _ec_mul(q ** int(math.log(b1, q)), Q, A, B, p)
+        Q = _ec_mul(q ** sympy.integer_log(b1, q)[0], Q, A, B, p)
     N = p + 1 - 2 * math.isqrt(p) - 2
     R = _ec_mul(N, Q, A, B, p)
     while R is not None:
@@ -389,6 +389,47 @@ def test_ecm_stage2_finds_what_stage1_cannot(p, sigma):
     order = _stage1_point_order(sigma, p, b1)
     assert b1 < max(sympy.factorint(order)) <= 100 * b1
     assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+
+
+# (p, sigma, b1): the stage-1 point is O mod p, so stage 1 alone finds p.
+# At B1 = 50000 the stage-1 scalar is cut into pieces, and the start
+# points' orders, 2**2*3*5*37501 and 2**2*3**2*31249, end in a late one.
+STAGE1_SPLITS = [(9000011, 7, 2000), (9000011, 8, 2000), (9000041, 6, 2000),
+                 (9000059, 9, 50000), (9000119, 7, 50000)]
+
+# (p, sigma): the stage-1 point's order mod p at B1 = 2000 is a prime
+# above 100*B1, past stage 2 as well
+BEYOND_STAGE2 = [(9000049, 7), (9000059, 6), (9000067, 7)]
+
+
+@pytest.mark.parametrize("p,sigma,b1", STAGE1_SPLITS)
+def test_ecm_stage1_finds_points_of_smooth_order(monkeypatch, p, sigma, b1):
+    assert _stage1_point_order(sigma, p, b1) == 1
+
+    def no_stage2(*args):
+        raise AssertionError("stage 2 ran")
+    monkeypatch.setattr(arith, "_ecm_stage2_kept", no_stage2)
+    monkeypatch.setattr(arith, "_ecm_stage2_rows", no_stage2)
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+
+
+@pytest.mark.parametrize("p,sigma", BEYOND_STAGE2)
+def test_ecm_misses_points_of_order_past_stage2(p, sigma):
+    b1 = 2000
+    order = _stage1_point_order(sigma, p, b1)
+    assert max(sympy.factorint(order)) > 100 * b1
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) is None
+
+
+@pytest.mark.parametrize("b1", [2, 2000, 2187, 50000])
+def test_ecm_stage1_scalars_multiply_to_k(b1):
+    pieces = arith._ecm_stage1_scalars(b1)
+    assert math.prod(pieces) == math.prod(
+        p ** sympy.integer_log(b1, p)[0] for p in sympy.primerange(2, b1 + 1))
+    # each piece closes once it reaches the piece size, and each prime
+    # power adds at most b1's bits
+    assert all(k.bit_length() < arith._ECM_PIECE_BITS + b1.bit_length()
+               for k in pieces)
 
 
 # the four slowest cofactors of the level census to level 10 under rho
@@ -426,6 +467,37 @@ def test_ecm_time_budget_honoured_in_stage2(monkeypatch):
     assert not arith.factor(n, pol).complete
     clock[0] = 0.0
     assert arith._ecm_curve(n, 2000, sigma, 10.0) is None
+
+
+def test_rho_time_budget_checked_every_128_steps(monkeypatch):
+    # a fake clock that advances one second per reading, against a
+    # budget of 20: the reductions mod n between two readings stay within
+    # one batch of 128 steps, where a check per doubled block lets a
+    # block of 2**17 steps run between readings
+    n = sympy.nextprime(2 ** 99) * sympy.nextprime(2 ** 109)
+    reductions, readings = [0], []
+
+    class Counted(int):  # counts the reductions mod n
+        def __rmod__(self, other):
+            reductions[0] += 1
+            return other % int(self)
+
+    def monotonic():
+        readings.append(reductions[0])
+        return float(len(readings))
+
+    monkeypatch.setattr(arith, "time",
+                        types.SimpleNamespace(monotonic=monotonic))
+    assert arith._rho_brent(Counted(n), 100_000, 20.0) is None
+    assert len(readings) == 21
+    assert max(b - a for a, b in zip(readings, readings[1:])) <= 2 * 128
+    # without a deadline, and with one never reached, the same steps
+    m = Counted(10000000019 * 10000000033)
+    runs = []
+    for deadline in (None, 1e9):
+        reductions[0] = 0
+        runs.append((arith._rho_brent(m, 400_000, deadline), reductions[0]))
+    assert runs[0] == runs[1] and runs[0][0] in (10000000019, 10000000033)
 
 
 def test_ecm_large_bounds_stop_at_time_budget(monkeypatch):

@@ -18,7 +18,8 @@ OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "growth": ("ratios_sha256",),
                  "pairs": ("records", "per_k", "jsonl_sha256"),
                  "window": ("records", "per_k", "jsonl_sha256", "stages"),
-                 "modulus": ("records", "jsonl_sha256")}
+                 "modulus": ("records", "jsonl_sha256"),
+                 "curve": ("splits",)}
 
 
 @pytest.fixture(scope="module")

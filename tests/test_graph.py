@@ -11,7 +11,7 @@ import stat
 
 import pytest
 
-from emgraph import arith
+from emgraph import arith, cli
 from emgraph import graph as gr
 from emgraph import modsearch as ms
 from emgraph import tuples as tp
@@ -73,7 +73,7 @@ def test_bfs_levels_checkpoint_resume(tmp_path):
     assert [s.node_count for s in resumed] == [1, 1, 1, 1, 1, 2, 4, 9]
 
 
-def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path):
+def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
     ck = tmp_path / "frontier.jsonl"
     gr.bfs_levels(1, 5, checkpoint=str(ck))
     header, rest = ck.read_text().split("\n", 1)
@@ -88,6 +88,18 @@ def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path):
             f"under policy {obj['policy']}, not root 1 under policy "
             f"{gr._policy_fingerprint(pol)}: delete it")):
         gr.bfs_levels(1, 7, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+    # as saved by the ladder before the one-ladder stage 1
+    assert arith.LADDER_VERSION == 3
+    obj["policy"] = gr._policy_fingerprint(pol).replace(":ladder3", ":ladder2")
+    ck.write_text(json.dumps(obj) + "\n" + rest)
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert cli.run(["expand", "--max-level", "7", "--checkpoint",
+                    str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"under policy {obj['policy']}" in captured.err
     assert ck.read_bytes() == before
 
 
