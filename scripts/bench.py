@@ -58,7 +58,7 @@ from pathlib import Path
 from emgraph.arith import (EffortPolicy, _ecm_curve, factor,
                            squarefree_stream)
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
-from emgraph.modsearch import (SearchConfig, _collision_free_prime,
+from emgraph.modsearch import (SearchConfig, _collision_tables,
                                search_modulus, search_range)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,7 +108,7 @@ def _stages(p: dict, recs: list) -> dict:
         sieved += 1
         if primes[-1] ** 2 < m:
             lemma += 1
-            passed += not _collision_free_prime(primes)
+            passed += _collision_tables(primes) is not None
     return {"sieved": sieved, "lemma": lemma, "filter": passed,
             "pairs": len({r.modulus for r in recs})}
 

@@ -452,7 +452,7 @@ def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
                 batch = min(128, r - k)
                 for _ in range(batch):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += batch
             count += r
@@ -461,7 +461,7 @@ def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None
@@ -773,6 +773,7 @@ def _base_primes(bits: int) -> tuple[int, ...]:
 
 def squarefree_stream(lo: int, hi: int, min_omega: int = 0,
                       coprime_to: int = 1, *, primes_only: bool = False,
+                      smooth: bool = False,
                       ) -> Iterator[tuple[int, Union[Factorization,
                                                      list[int]]]]:
     """Yield each squarefree m in [lo, hi] with its complete factorization.
@@ -782,7 +783,8 @@ def squarefree_stream(lo: int, hi: int, min_omega: int = 0,
     list of its primes in increasing order instead of a Factorization.
     Entirely sieve-driven: each segment of 2**16 integers is sieved by
     the primes up to the square root of its end, and m over the product
-    of the primes found is 1 or a single large prime.
+    of the primes found is 1 or a single large prime. With ``smooth``
+    the m with such a prime r are skipped; each has r**2 > m.
     """
     if lo < 1 or lo > hi:
         raise ValueError("need 1 <= lo <= hi")
@@ -815,6 +817,8 @@ def squarefree_stream(lo: int, hi: int, min_omega: int = 0,
                 continue
             r = m // prod(fs)
             if r > 1:
+                if smooth:
+                    continue
                 fs.append(r)
             if len(fs) < min_omega:
                 continue

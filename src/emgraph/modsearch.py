@@ -26,7 +26,9 @@ Every prime p of m must therefore see two distinct subsets of the other
 primes with equal product mod p. The search checks this first,
 largest prime first, and returns nothing when some prime sees all
 2^(k-1) subset products distinct. A prime p <= 2^(k-1) always passes,
-having more subsets than nonzero residues.
+having more subsets than nonzero residues. The same pass keeps each
+prime's subset products, from which the walk's tables are built once
+every prime has passed.
 
 For the largest prime r of m = n*r the rule bounds r. Cancelling the
 primes common to S and T leaves disjoint sets A != B of primes of n with
@@ -40,16 +42,19 @@ from a smallest-prime-factor table when n <= sqrt(hi) and otherwise
 moduli n*r reach the search. The walk visits about hi^0.7 values of n
 whatever the width, so a range narrower than hi^(3/4) sieves its
 integers instead. Both sources apply r^2 < m, the generator by
-construction and the sieve path by one multiply before the filter,
-which rules out about two thirds of the sieved moduli. Both hand each
-modulus to the same filter and walk, so their records agree byte for
-byte.
+construction and the sieve path by asking the stream for the moduli it
+factors completely: a cofactor prime above its segment's sieve bound
+has r^2 > m, and such moduli are about two thirds of the squarefree
+ones. One multiply before the filter applies the lemma to the few
+left. Both hand each modulus to the same filter and walk, so their
+records agree byte for byte.
 
-For the moduli that pass the filter, the same residue tables prune the
-walk: the prime placed next must collide at its predecessor set, and
-every unplaced prime must still have a colliding set containing the
-primes placed so far. The collision tables and the walk read two cached
-per-k tables: the masks without each prime and the primes of each mask.
+For the moduli that pass the filter, the subset products it kept
+prune the walk: the prime placed next must collide at its predecessor
+set, and every unplaced prime must still have a colliding set
+containing the primes placed so far. The collision tables and the walk
+read two cached per-k tables: the masks without each prime and the
+primes of each mask.
 
 Everything the walk reads below a prefix (the tables, the pruning and
 each digit prod(S_p) mod p times its weight) is indexed by the mask of
@@ -76,7 +81,6 @@ import functools
 import itertools
 import multiprocessing
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -136,26 +140,6 @@ class DensityReport:
     inverse_density: Fraction
 
 
-def _collision_free_prime(primes: Sequence[int]) -> bool:
-    """Whether some prime p sees the subset products of the other primes
-    pairwise distinct mod p, which rules out every irreducible pair."""
-    half = 1 << (len(primes) - 1)  # subsets of the other primes
-    # largest prime first; a prime p <= half has more subsets than nonzero
-    # residues, so its products must collide
-    for p in reversed(primes):
-        if half < p:
-            prods = [1]
-            for q in primes:
-                if q != p:
-                    # a plain loop: a comprehension costs more on lists
-                    # this short
-                    for x in prods[:]:
-                        prods.append(x * q % p)
-            if len(set(prods)) == half:
-                return True
-    return False
-
-
 @functools.lru_cache(maxsize=None)
 def _mask_tables(k: int) -> tuple[list[list[int]], list[list[int]]]:
     """For masks over k primes: the masks without each bit, and the bit
@@ -166,26 +150,46 @@ def _mask_tables(k: int) -> tuple[list[list[int]], list[list[int]]]:
     return without, bits
 
 
-def _collision_masks(primes: Sequence[int], value: Sequence[int],
-                     ) -> tuple[list[int], list[int]]:
+def _collision_tables(primes: Sequence[int],
+                      ) -> Optional[tuple[list[int], list[int]]]:
     """Per-prime collision tables, as prime-bit masks indexed by the mask
-    ``used`` of primes already placed in P.
+    ``used`` of primes already placed in P; None when some prime p sees
+    the subset products of the other primes pairwise distinct mod p,
+    which rules out every irreducible pair.
 
     ``exact[used]`` holds the primes outside ``used`` for which ``used``
     collides mod p with another subset: the primes that may take the next
     position. ``allow[used]`` holds the primes that have a colliding
     subset containing ``used``: every unplaced prime must be among them.
     """
-    without = _mask_tables(len(primes))[0]
-    exact = [0] * len(value)
-    for b, p in enumerate(primes):
+    half = 1 << (len(primes) - 1)  # subsets of the other primes
+    residues = []
+    # largest prime first; a prime p <= half has more subsets than nonzero
+    # residues, so its products must collide
+    for p in reversed(primes):
+        prods = [1]
+        for q in primes:
+            if q != p:
+                # a plain loop: a comprehension costs more on lists this
+                # short
+                for x in prods[:]:
+                    prods.append(x * q % p)
+        if half < p and len(set(prods)) == half:
+            return None
+        residues.append(prods)
+    # residues[b][i] belongs to the i-th mask without bit b
+    residues.reverse()
+    k = len(primes)
+    without = _mask_tables(k)[0]
+    exact = [0] * (1 << k)
+    for b, res in enumerate(residues):
         bit = 1 << b
-        res = [value[mask] % p for mask in without[b]]
-        count = Counter(res)
-        # the masks whose residue occurs more than once
-        for mask in itertools.compress(
-                without[b], map((1).__lt__, map(count.__getitem__, res))):
-            exact[mask] |= bit
+        first: dict[int, int] = {}  # residue -> its first mask
+        for mask, r in zip(without[b], res):
+            m0 = first.setdefault(r, mask)
+            if m0 != mask:
+                exact[m0] |= bit
+                exact[mask] |= bit
     allow = exact[:]
     for b, masks in enumerate(without):
         bit = 1 << b
@@ -200,16 +204,19 @@ def _pair_search(m: int, primes: Sequence[int],
     # the largest-prime lemma (r^2 < m, one multiply) and the filter run
     # before _backtrack, so a rejected modulus allocates none of the walk's
     # closure cells
-    if (len(primes) < 3 or primes[-1] ** 2 > m
-            or _collision_free_prime(primes)):
+    if len(primes) < 3 or primes[-1] ** 2 > m:
         return []
-    return _backtrack(primes)
+    tables = _collision_tables(primes)
+    if tables is None:
+        return []
+    return _backtrack(primes, tables)
 
 
-def _backtrack(primes: Sequence[int],
+def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pruned walk over orderings behind ``_pair_search``, grouping
-    them by residue vector."""
+    them by residue vector, pruned by the ``_collision_tables`` of
+    ``primes``."""
     k = len(primes)
     full = (1 << k) - 1
     # value of every divisor, indexed by prime-subset mask
@@ -219,7 +226,7 @@ def _backtrack(primes: Sequence[int],
         p = primes[b]
         for mask in range(bit):
             value[mask | bit] = value[mask] * p
-    exact, allow = _collision_masks(primes, value)
+    exact, allow = tables
     # digit weights of the mixed-radix class key
     weight = [value[(1 << b) - 1] for b in range(k)]
     bits = _mask_tables(k)[1]
@@ -515,7 +522,9 @@ def _search_chunk(args: tuple) -> list[PairRecord]:
     lo, hi, min_k, coprime_to = args[:4]
     moduli: Iterable[tuple[int, list[int]]] = (
         args[4] if len(args) > 4 else
-        squarefree_stream(lo, hi, min_k, coprime_to, primes_only=True))
+        # a modulus with a prime above the sieve bound has r^2 > m
+        squarefree_stream(lo, hi, min_k, coprime_to, primes_only=True,
+                          smooth=True))
     out: list[PairRecord] = []
     for m, primes in moduli:
         pairs = _pair_search(m, primes)

@@ -636,6 +636,28 @@ def test_squarefree_stream_crosses_segment_boundary():
     assert any(m >= 2 + 65536 for m, _ in expect)
 
 
+@pytest.mark.parametrize("lo, hi, min_omega, coprime_to", [
+    (2, 2 + 65536 + 3000, 0, 1),  # the second segment starts at 65538
+    (2, 2 + 65536 + 3000, 3, 2 * 3 * 7 * 43),
+    (10 ** 8, 10 ** 8 + 5000, 4, 15),
+])
+def test_squarefree_stream_smooth(lo, hi, min_omega, coprime_to):
+    # smooth drops only moduli whose largest prime r has r^2 > m
+    full = dict(arith.squarefree_stream(lo, hi, min_omega, coprime_to,
+                                        primes_only=True))
+    smooth = list(arith.squarefree_stream(lo, hi, min_omega, coprime_to,
+                                          primes_only=True, smooth=True))
+    assert all(full[m] == primes for m, primes in smooth)
+    kept = [m for m, _ in smooth]
+    assert kept == sorted(kept)
+    assert set(kept) >= {m for m, primes in full.items()
+                         if primes[-1] ** 2 < m}
+    assert len(kept) < len(full)
+    assert [(m, fz.primes) for m, fz in arith.squarefree_stream(
+        lo, hi, min_omega, coprime_to, smooth=True)] == \
+        [(m, tuple(primes)) for m, primes in smooth]
+
+
 def test_squarefree_stream_one():
     assert check_stream(1, 1) == [(1, ())]
     assert check_stream(1, 1, 1) == []

@@ -198,7 +198,7 @@ def test_oracle_equivalence_high_window():
         if fz.omega > 7:
             continue
         assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz), m
-        if ms._collision_free_prime(fz.primes):
+        if ms._collision_tables(fz.primes) is None:
             rejected.add(fz.omega)
     assert rejected >= {3, 4, 5}
 
@@ -215,7 +215,7 @@ def test_collision_lemma_on_coprime_rows():
                 S, T = P[:P.index(p)], Q[:Q.index(p)]
                 assert set(S) != set(T)
                 assert math.prod(S) % p == math.prod(T) % p
-            assert not ms._collision_free_prime(sorted(P))
+            assert ms._collision_tables(sorted(P)) is not None
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 4 * 65536 + 1),
@@ -228,7 +228,7 @@ def test_largest_prime_lemma(lo, hi):
     for m, primes in squarefree_stream(lo, hi, primes_only=True):
         if primes[-1] ** 2 > m:
             above += 1
-            assert ms._collision_free_prime(primes), m
+            assert ms._collision_tables(primes) is None, m
     assert above > (hi - lo) // 4
 
 
@@ -241,7 +241,7 @@ def test_generator_covers_what_the_filter_passes(lo, hi):
     assert all(lo <= m <= hi for m in generated)
     passed = {m for m, primes in squarefree_stream(lo, hi, 3,
                                                    primes_only=True)
-              if not ms._collision_free_prime(primes)}
+              if ms._collision_tables(primes) is not None}
     assert passed and passed <= set(generated)
 
 
@@ -253,7 +253,7 @@ def test_generator_emits_primes_in_order():
         assert factor(math.prod(ps) * rs[-1]).primes == (*ps, rs[-1])
 
 
-def test_collision_masks_match_definition():
+def test_collision_tables_match_definition():
     # 4930 = 2*5*17*29; the others pass the filter, k = 5, 5, 6 and 6, and
     # 1006005 has irreducible pairs
     for m in (4930, 1000246, 1001455, 1000110, 1006005):
@@ -261,7 +261,7 @@ def test_collision_masks_match_definition():
         k = len(primes)
         value = [math.prod(primes[b] for b in range(k) if mask >> b & 1)
                  for mask in range(1 << k)]
-        exact, allow = ms._collision_masks(primes, value)
+        exact, allow = ms._collision_tables(primes)
         for b, p in enumerate(primes):
             others = [s for s in range(1 << k) if not s >> b & 1]
             collides = {s for s in others
@@ -273,17 +273,34 @@ def test_collision_masks_match_definition():
                     any(s & used == used for s in collides), m
 
 
+@pytest.mark.parametrize("lo, hi", [(2, 20000), (10 ** 8, 10 ** 8 + 3000)])
+def test_collision_tables_reject_exactly_the_collision_free(lo, hi):
+    # None exactly when some prime sees the products of all subsets of the
+    # other primes pairwise distinct mod p, listed here by combinations
+    seen = set()
+    for m, primes in squarefree_stream(lo, hi, 3, primes_only=True):
+        free = False
+        for p in primes:
+            others = [q for q in primes if q != p]
+            prods = [math.prod(s) % p for n in range(len(others) + 1)
+                     for s in itertools.combinations(others, n)]
+            free = free or len(set(prods)) == len(prods)
+        assert (ms._collision_tables(primes) is None) == free, m
+        seen.add(free)
+    assert seen == {False, True}
+
+
 def test_lemma_skips_the_filter(monkeypatch):
     # with P(m)^2 > m the search answers before the filter
     lo, hi = 10 ** 8, 10 ** 8 + 3000
     expect = ms._search_chunk((lo, hi, 3, 1))
-    filter_ = ms._collision_free_prime
+    filter_ = ms._collision_tables
 
     def guarded(primes):
         assert primes[-1] ** 2 < math.prod(primes), primes
         return filter_(primes)
 
-    monkeypatch.setattr(ms, "_collision_free_prime", guarded)
+    monkeypatch.setattr(ms, "_collision_tables", guarded)
     assert ms._search_chunk((lo, hi, 3, 1)) == expect
 
 
