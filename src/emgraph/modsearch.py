@@ -163,7 +163,7 @@ def _collision_tables(primes: Sequence[int],
     subset containing ``used``: every unplaced prime must be among them.
     """
     half = 1 << (len(primes) - 1)  # subsets of the other primes
-    residues = []
+    residues: list[list[int]] = []
     # largest prime first; a prime p <= half has more subsets than nonzero
     # residues, so its products must collide
     for p in reversed(primes):

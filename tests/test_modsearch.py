@@ -291,9 +291,14 @@ def test_collision_tables_reject_exactly_the_collision_free(lo, hi):
 
 
 def test_lemma_skips_the_filter(monkeypatch):
-    # with P(m)^2 > m the search answers before the filter
+    # with P(m)^2 > m the search answers before the filter; the chunk's
+    # stream drops every such m of this window, so the full stream is
+    # searched too
     lo, hi = 10 ** 8, 10 ** 8 + 3000
     expect = ms._search_chunk((lo, hi, 3, 1))
+    moduli = list(squarefree_stream(lo, hi, 3, primes_only=True))
+    assert any(primes[-1] ** 2 > m for m, primes in moduli)
+    pairs = [ms._pair_search(m, primes) for m, primes in moduli]
     filter_ = ms._collision_tables
 
     def guarded(primes):
@@ -302,6 +307,7 @@ def test_lemma_skips_the_filter(monkeypatch):
 
     monkeypatch.setattr(ms, "_collision_tables", guarded)
     assert ms._search_chunk((lo, hi, 3, 1)) == expect
+    assert [ms._pair_search(m, primes) for m, primes in moduli] == pairs
 
 
 @pytest.mark.parametrize("lo, digest", [
