@@ -135,17 +135,21 @@ class EffortPolicy:
     The ladder strips the primes up to ``trial_bound`` (and always those
     up to 199) by gcds. Each composite left then tries, in order: the
     factor cache and the perfect-power test, which always run; a short
-    Brent rho pass, one polynomial and at most min(``rho_iterations``,
-    4096) steps; ``ecm_curves`` elliptic curves, each with stage 1 to its
-    B1 and stage 2 to 100*B1; last, Brent rho over five polynomials with
-    the full ``rho_iterations`` budget. The first half of the curves
-    climb a ramp of 25 curves at B1 = 2000 and 90 at 11000, each B1
-    capped at ``ecm_b1``; the rest run at ``ecm_b1`` (the default 50
-    curves: 25 at 2000, 25 at 50000). With ``ecm_curves`` of 0 (or
-    ``ecm_b1`` below 2) only the last rho pass runs. ``time_budget`` caps
-    the seconds of one ``factor`` call; 0 means unlimited time. A field
-    of the wrong type (a bool, or a non-integer where an integer is due)
-    or a negative field raises ValueError.
+    Brent rho pass, one polynomial with a budget of min(``rho_iterations``,
+    4096); ``ecm_curves`` elliptic curves, each with stage 1 to its B1 and
+    stage 2 to 100*B1; last, Brent rho over five polynomials, each with the
+    budget ``rho_iterations``. A rho polynomial runs whole rounds of
+    r = 1, 2, 4, ... until the sum of their r reaches its budget, and a
+    round takes r steps plus up to r more with products. So a polynomial
+    that splits nothing takes twice the first sum 2**j - 1 at or above the
+    budget, under four times the budget: 16,382 steps for 4096, 2,046 for
+    1000. The first half of the curves climb a ramp of 25 curves at
+    B1 = 2000 and 90 at 11000, each B1 capped at ``ecm_b1``; the rest run
+    at ``ecm_b1`` (the default 50 curves: 25 at 2000, 25 at 50000). With
+    ``ecm_curves`` of 0 (or ``ecm_b1`` below 2) only the last rho pass
+    runs. ``time_budget`` caps the seconds of one ``factor`` call; 0 means
+    unlimited time. A field of the wrong type (a bool, or a non-integer
+    where an integer is due) or a negative field raises ValueError.
     """
 
     trial_bound: int = 10_000
@@ -349,11 +353,66 @@ def _product_tree(xs: list[int]) -> list[list[int]]:
     return tree
 
 
+# _mod leaves to divmod, which takes time |q|*|b| in CPython 3.11, every
+# division whose quotient has at most this many bits, and every divisor of
+# at most 3 times as many, where splitting costs more than it saves (a
+# 16-kbit by 8-kbit division took 0.25 ms split, 0.12 ms by divmod; at 64
+# by 32 kbits, 0.96 ms split against 1.83 ms).
+_DIV_LIMIT = 4000
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b << n."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:  # make n even, with b's top bit still at n - 1
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int
+             ) -> tuple[int, int]:
+    """divmod(a12 << n | a3, b) for b = b1 << n | b2 with b1 of exactly n
+    bits, a12 < b and a3 < 2**n: the quotient of a12 by b1 overshoots by at
+    most 2, and the loop takes it back."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _mod(a: int, b: int) -> int:
+    """a % b for a >= 0 and b >= 1, in Burnikel and Ziegler's recursive
+    division ("Fast Recursive Division", 1998) when both are long: a is
+    cut into digits of b's length, and each 2n-by-n step halves into two
+    3n/2-by-n steps, each one n/2-bit division and one n/2-by-n/2 product,
+    which CPython multiplies by Karatsuba."""
+    n = b.bit_length()
+    if n <= 3 * _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
+        return a % b
+    mask = (1 << n) - 1
+    r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        r = _div2n1n(r << n | a >> shift & mask, b, n)[1]
+    return r
+
+
 def _remainders(m: int, xs: list[int]) -> list[int]:
     """m mod x for every x of xs, carried down a product tree of xs."""
     rs = [m]
     for lv in reversed(_product_tree(xs)):
-        rs = [rs[i >> 1] % x for i, x in enumerate(lv)]
+        rs = [_mod(rs[i >> 1], x) for i, x in enumerate(lv)]
     return rs
 
 

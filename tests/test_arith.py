@@ -292,23 +292,88 @@ def test_primorial_is_product_of_primes(bound):
     assert arith._primorial(bound) == (math.prod(primes), tuple(primes))
 
 
-@pytest.mark.parametrize("bound", [2, 5, 139, 1000])
-def test_small_prime_factors_many_matches_oracle(bound):
+# 1 << 14: P has 23,452 bits, so tree nodes near the root divide recursively
+@pytest.mark.parametrize("bound", [2, 5, 139, 1000, 1 << 14])
+def test_small_prime_factors_many_matches_oracle(bound, monkeypatch):
     # mixed sizes, so groups close at varied points and trees are uneven
     rng = random.Random(bound)
     primes = arith.sieve_primes(bound)
     xs = []
-    for _ in range(300):
+    for _ in range(400):
         x = rng.getrandbits(rng.choice([1, 8, 64, 300, 3000])) + 1
         if rng.random() < 0.5:
             x *= math.prod(rng.choices(primes, k=rng.randrange(1, 6)))
         xs.append(x)
-    assert sum(x.bit_length() for x in xs) > 10 * arith._primorial(
-        bound)[0].bit_length()
+    P = arith._primorial(bound)[0]
+    assert sum(x.bit_length() for x in xs) > 10 * P.bit_length()
+    steps = []
+    div3n2n = arith._div3n2n
+    monkeypatch.setattr(arith, "_div3n2n",
+                        lambda *a: steps.append(a) or div3n2n(*a))
     assert arith.small_prime_factors_many(xs, bound) == [
         small_primes_oracle(x, bound) for x in xs]
+    assert bool(steps) == (P.bit_length() > 3 * arith._DIV_LIMIT)
     assert arith.small_prime_factors_many(iter(xs[:7]), bound) == [
         arith.small_prime_factors(x, bound) for x in xs[:7]]
+
+
+def _mod_operands(rng):
+    """Divisors of 1 to 6 times the divmod limit, of even and odd bit
+    lengths, with dividends of every length up to 4 divisors past them."""
+    limit = arith._DIV_LIMIT
+    for bits in (1, 64, limit, 3 * limit, 3 * limit + 1, 4 * limit + 1,
+                 5 * limit - 1, 6 * limit, 6 * limit + 3):
+        for _ in range(6):
+            b = rng.getrandbits(bits) | 1 << (bits - 1)
+            yield rng.getrandbits(rng.randrange(1, 5 * bits + 2)), b
+        ones = (1 << bits) - 1
+        yield 0, ones
+        yield ones - 1, ones  # a < b
+        yield ones, ones
+        yield rng.getrandbits(3 * bits), ones
+        q = rng.getrandbits(2 * bits + limit)
+        yield q * ones + ones - 1, ones
+        b = rng.getrandbits(bits) | 1 << (bits - 1)
+        yield q * b + b - 1, b
+
+
+def test_mod_matches_remainder():
+    rng = random.Random(26)
+    for a, b in _mod_operands(rng):
+        assert arith._mod(a, b) == a % b, (a.bit_length(), b.bit_length())
+
+
+def test_div2n1n_matches_divmod():
+    # the quotients matter too: each step's remainder is built from them
+    rng = random.Random(27)
+    for n in (arith._DIV_LIMIT + 1, 3 * arith._DIV_LIMIT + 1,
+              5 * arith._DIV_LIMIT, 5 * arith._DIV_LIMIT + 7):
+        bs = [(1 << n) - 1, 1 << (n - 1), rng.getrandbits(n) | 1 << (n - 1)]
+        for b in bs:
+            for a in ((b << n) - 1, rng.randrange(b << n), b << (n - 1),
+                      (b - 1) << n | rng.getrandbits(n)):
+                assert arith._div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_mod_corrects_the_quotient_estimate(monkeypatch):
+    # a == q*b + b - 1 needs the estimate of each 3n-by-2n step taken back
+    # by up to 2, Burnikel and Ziegler's bound
+    overshoots = []
+    div3n2n = arith._div3n2n
+
+    def counted(a12, a3, b, b1, b2, n):
+        q, r = div3n2n(a12, a3, b, b1, b2, n)
+        overshoots.append(min(a12 // b1, (1 << n) - 1) - q)
+        return q, r
+
+    monkeypatch.setattr(arith, "_div3n2n", counted)
+    rng = random.Random(28)
+    bits = 4 * arith._DIV_LIMIT + 1
+    for _ in range(20):
+        b = rng.getrandbits(bits) | 1 << (bits - 1)
+        q = rng.getrandbits(bits)
+        assert arith._mod(q * b + b - 1, b) == b - 1
+    assert min(overshoots) == 0 and max(overshoots) == 2
 
 
 def test_small_prime_factors_many_empty_and_bound_below_two():
