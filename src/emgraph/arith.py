@@ -396,8 +396,8 @@ def _mod(a: int, b: int) -> int:
     """a % b for a >= 0 and b >= 1, in Burnikel and Ziegler's recursive
     division ("Fast Recursive Division", 1998) when both are long: a is
     cut into digits of b's length, and each 2n-by-n step halves into two
-    3n/2-by-n steps, each one n/2-bit division and one n/2-by-n/2 product,
-    which CPython multiplies by Karatsuba."""
+    3n/2-by-n steps, each one n-by-n/2 division, itself recursive, and one
+    n/2-by-n/2 product, which CPython multiplies by Karatsuba."""
     n = b.bit_length()
     if n <= 3 * _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
         return a % b

@@ -318,8 +318,9 @@ def test_small_prime_factors_many_matches_oracle(bound, monkeypatch):
 
 
 def _mod_operands(rng):
-    """Divisors of 1 to 6 times the divmod limit, of even and odd bit
-    lengths, with dividends of every length up to 4 divisors past them."""
+    """Divisors from 1 bit to 6 times the divmod limit, of even and odd
+    bit lengths on both sides of the cutover, with random dividends up to
+    5 divisors long and the edge cases named below."""
     limit = arith._DIV_LIMIT
     for bits in (1, 64, limit, 3 * limit, 3 * limit + 1, 4 * limit + 1,
                  5 * limit - 1, 6 * limit, 6 * limit + 3):
