@@ -38,6 +38,14 @@ version and the job's output summary, so records of different revisions
 show whether the output moved. It is appended to ``BENCH_<job>.json`` at
 the root of the checkout unless --out names another file.
 
+A shared machine's speed drifts by up to 1.8x over minutes, so the raw
+times of two records taken one after the other cannot resolve a change
+under about 20%. So, as ``perfbench/run.py`` does, a fixed
+pure-Python loop (the probe) is timed before the first repeat and after
+each, and the record also keeps the probes (``probe_ms``) and the median
+of the times scaled to the reference speed (``median_wall_s_at_ref``):
+each time times ``REF_PROBE_MS`` over the mean of the probes around it.
+
 Example:
     PYTHONPATH=src python scripts/bench.py census --note "after the change"
 """
@@ -64,6 +72,10 @@ from emgraph.modsearch import (SearchConfig, _collision_tables,
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
 REPEATS = 5
+PROBE_LOOPS = 10
+# the probe's time on a 2-core x86-64 VM (Python 3.11) at its fast speed,
+# the reference of perfbench/run.py
+REF_PROBE_MS = 7.0
 
 
 def _sha256(text: str) -> str:
@@ -73,6 +85,19 @@ def _sha256(text: str) -> str:
 def _search(p: dict) -> list:
     return list(search_range(SearchConfig(p["lo"], p["hi"],
                                           worker_count=p["workers"])))
+
+
+def cpu_probe_ms() -> float:
+    """Mean time of perfbench's fixed pure-Python loop: the machine's
+    speed now."""
+    times = []
+    for _ in range(PROBE_LOOPS):
+        start = time.perf_counter()
+        total = 0
+        for i in range(100_000):
+            total += i * i % 7
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.mean(times)
 
 
 def _jsonl_sha256(recs: list) -> str:
@@ -182,16 +207,22 @@ def main(argv=None) -> int:
 
     params, run, summary = JOBS[args.job]
     every_run = getattr(summary, "every_run", False)
-    walls, runs = [], []
+    walls, runs, probes = [], [], [cpu_probe_ms()]
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         result = run(params)
         walls.append(round(time.perf_counter() - t0, 4))
+        probes.append(cpu_probe_ms())
         if every_run:
             runs.append(result)
+    at_ref = [w * 2 * REF_PROBE_MS / (before + after)
+              for w, before, after in zip(walls, probes, probes[1:])]
     record = {"revision": revision(), "note": args.note, **params,
               "repeats": REPEATS, "median_wall_s": statistics.median(walls),
-              "wall_s": walls, "cores": os.cpu_count(),
+              "wall_s": walls,
+              "median_wall_s_at_ref": round(statistics.median(at_ref), 4),
+              "probe_ms": [round(p, 3) for p in probes],
+              "cores": os.cpu_count(),
               "python": platform.python_version(),
               **summary(runs if every_run else result)}
     out = Path(args.out or ROOT / f"BENCH_{args.job}.json")

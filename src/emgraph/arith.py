@@ -136,16 +136,18 @@ class EffortPolicy:
     up to 199) by gcds. Each composite left then tries, in order: the
     factor cache and the perfect-power test, which always run; a short
     Brent rho pass, one polynomial with a budget of min(``rho_iterations``,
-    4096); ``ecm_curves`` elliptic curves, each with stage 1 to its B1 and
+    2048); ``ecm_curves`` elliptic curves, each with stage 1 to its B1 and
     stage 2 to 100*B1; last, Brent rho over five polynomials, each with the
     budget ``rho_iterations``. A rho polynomial runs whole rounds of
     r = 1, 2, 4, ... until the sum of their r reaches its budget, and a
     round takes r steps plus up to r more with products. So a polynomial
     that splits nothing takes twice the first sum 2**j - 1 at or above the
-    budget, under four times the budget: 16,382 steps for 4096, 2,046 for
-    1000. The first half of the curves climb a ramp of 25 curves at
-    B1 = 2000 and 90 at 11000, each B1 capped at ``ecm_b1``; the rest run
-    at ``ecm_b1`` (the default 50 curves: 25 at 2000, 25 at 50000). With
+    budget, under four times the budget: 8,190 steps for 2048, 2,046 for
+    1000. The first half of the curves climb a ramp of 6 curves at
+    B1 = 500, 25 at 2000 and 90 at 11000, each B1 capped at ``ecm_b1``;
+    the rest run at ``ecm_b1`` (the default 50 curves: 6 at 500, 19 at
+    2000, 25 at 50000). The short pass's budget and the first rung are
+    chosen from measured split rates (``scripts/split_rates.py``). With
     ``ecm_curves`` of 0 (or ``ecm_b1`` below 2) only the last rho pass
     runs. ``time_budget`` caps the seconds of one ``factor`` call; 0 means
     unlimited time. A field of the wrong type (a bool, or a non-integer
@@ -562,12 +564,29 @@ def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, list[bytes]]]:
         yield ma, [table[r * width:(r + 1) * width] for r in range(rows)]
 
 
+# The factoring ladder's fixed effort: the short rho pass before the
+# curves, and the curve count at each rising B1. At most half of a
+# policy's curves climb this ramp; the others use the policy's ecm_b1.
+# scripts/split_rates.py selects the budget and the first rung from the
+# split rates of SPLIT_RATES.json; the later rungs are Zimmermann and
+# Dodson's choice for factors of 15 and of 20 digits.
+_RHO_SHORT = 1 << 11
+_ECM_RAMP = ((6, 500), (25, 2_000), (90, 11_000))
+
+# Raised whenever the same policy fields come to run a different ladder.
+# Census checkpoints record it with the policy, so one saved under another
+# ladder, whose blocked counts this one need not reproduce, is refused
+# rather than resumed or overwritten: delete it to start again.
+LADDER_VERSION = 4
+
 # Stage-2 rows up to the ramp's largest B2 (at most about 180 KB) are kept
-# for the next curve; larger ones are sieved by each curve and freed.
+# for the next curve; larger ones are sieved by each curve and freed. A
+# policy's B1 at or below the ramp's largest caps the rungs above it, so
+# the kept B2 are at most one per rung, and a climb sieves each once.
 _ECM_KEEP_B2 = 1_100_000
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=len(_ECM_RAMP))
 def _ecm_stage2_kept(b1: int, b2: int) -> tuple[tuple[int, list[bytes]], ...]:
     return tuple(_ecm_stage2_rows(b1, b2))
 
@@ -709,20 +728,6 @@ def _ecm_curve(n: int, b1: int, sigma: int,
                 acc = acc * (gx - xj) % n
     g = math.gcd(acc, n)
     return g if 1 < g < n else None
-
-
-# The factoring ladder's fixed effort: the short rho pass before the
-# curves, and the curve count at each rising B1 (the usual choice for
-# factors of 15 and of 20 digits). At most half of a policy's curves climb
-# this ramp; the others use the policy's ecm_b1.
-_RHO_SHORT = 1 << 12
-_ECM_RAMP = ((25, 2_000), (90, 11_000))
-
-# Raised whenever the same policy fields come to run a different ladder.
-# Census checkpoints record it with the policy, so one saved under another
-# ladder, whose blocked counts this one need not reproduce, is refused
-# rather than resumed or overwritten: delete it to start again.
-LADDER_VERSION = 3
 
 
 def _ecm_bounds(policy: EffortPolicy) -> Iterator[int]:

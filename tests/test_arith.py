@@ -514,6 +514,19 @@ def test_factor_ecm_only_splits_census_cofactors(p, q):
     assert fz.complete and fz.primes == (p, q)
 
 
+@pytest.mark.parametrize("bits", range(24, 45, 4))
+def test_default_policy_splits_factors_the_ramp_targets(bits, monkeypatch):
+    # the short rho pass or the ramp's curves split each, never the long
+    # rho pass behind them
+    p, q = sympy.nextprime(3 << (bits - 2)), sympy.nextprime(1 << 63)
+    budgets, rho = [], arith._rho_brent
+    monkeypatch.setattr(arith, "_rho_brent", lambda n, iters, *args: (
+        budgets.append(iters), rho(n, iters, *args))[1])
+    fz = arith.factor(p * q)
+    assert fz.complete and fz.primes == (p, q)
+    assert budgets == [arith._RHO_SHORT]
+
+
 def test_ecm_time_budget_honoured_in_stage2(monkeypatch):
     p, sigma = STAGE2_ONLY[0]  # sigma 6 is the first curve's
     n = p * (2 ** 61 - 1)
@@ -584,12 +597,13 @@ def test_ecm_large_bounds_stop_at_time_budget(monkeypatch):
 def test_ecm_bounds_keep_half_the_curves_at_ecm_b1():
     def bounds(**kw):
         return list(arith._ecm_bounds(arith.EffortPolicy(**kw)))
-    assert bounds() == [2000] * 25 + [50000] * 25
-    assert bounds(ecm_curves=120) == [2000] * 25 + [11000] * 35 + [50000] * 60
-    assert bounds(ecm_curves=300) == ([2000] * 25 + [11000] * 90
-                                      + [50000] * 185)
-    assert bounds(ecm_curves=4, ecm_b1=5000) == [2000, 2000, 5000, 5000]
-    assert bounds(ecm_curves=3, ecm_b1=1000) == [1000] * 3
+    assert bounds() == [500] * 6 + [2000] * 19 + [50000] * 25
+    assert bounds(ecm_curves=120) == ([500] * 6 + [2000] * 25 + [11000] * 29
+                                      + [50000] * 60)
+    assert bounds(ecm_curves=300) == ([500] * 6 + [2000] * 25 + [11000] * 90
+                                      + [50000] * 179)
+    assert bounds(ecm_curves=4, ecm_b1=5000) == [500, 500, 5000, 5000]
+    assert bounds(ecm_curves=3, ecm_b1=1000) == [500, 1000, 1000]
     assert bounds(ecm_curves=1) == [50000]
 
 

@@ -89,18 +89,21 @@ def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
             f"{gr._policy_fingerprint(pol)}: delete it")):
         gr.bfs_levels(1, 7, checkpoint=str(ck))
     assert ck.read_bytes() == before
-    # as saved by the ladder before the one-ladder stage 1
-    assert arith.LADDER_VERSION == 3
-    obj["policy"] = gr._policy_fingerprint(pol).replace(":ladder3", ":ladder2")
-    ck.write_text(json.dumps(obj) + "\n" + rest)
-    before = ck.read_bytes()
-    capsys.readouterr()
-    assert cli.run(["expand", "--max-level", "7", "--checkpoint",
-                    str(ck)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"under policy {obj['policy']}" in captured.err
-    assert ck.read_bytes() == before
+    # as saved by the ladder before the one-ladder stage 1, and by the one
+    # before the measured first rung and short rho budget
+    assert arith.LADDER_VERSION == 4
+    for old in (2, 3):
+        obj["policy"] = gr._policy_fingerprint(pol).replace(
+            ":ladder4", f":ladder{old}")
+        ck.write_text(json.dumps(obj) + "\n" + rest)
+        before = ck.read_bytes()
+        capsys.readouterr()
+        assert cli.run(["expand", "--max-level", "7", "--checkpoint",
+                        str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"under policy {obj['policy']}" in captured.err
+        assert ck.read_bytes() == before
 
 
 def test_bfs_levels_resumes_only_under_the_same_time_budget(tmp_path):
