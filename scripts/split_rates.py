@@ -34,7 +34,7 @@ other, so neither the cheap small factors nor the dear large ones set
 the choice alone.
 
 Writes ``SPLIT_RATES.json`` at the root of the checkout (or --out) and
-prints the selection. About ten minutes on one core of a 2-core VM.
+prints the selection. About seven minutes on one core of a 2-core VM.
 
 Example:
     PYTHONPATH=src python scripts/split_rates.py
