@@ -27,10 +27,11 @@ Jobs:
            the record count, the sha256 of the JSONL output and the peak
            resident set of the process in MB, over all its runs, so it
            also counts what one run leaves alive into the next.
-  curve    one elliptic curve (sigma 6) at each B1 of 2000, 11000 and
-           50000 on a fixed 210-bit semiprime whose two primes no curve
-           can find. Keeps the median time of the curve at each B1 over
-           the repeats, and what each curve returned (null: no split).
+  curve    one elliptic curve (sigma 6) at each B1 of 500, 2000, 11000
+           and 50000 on a fixed 210-bit semiprime whose two primes no
+           curve can find. Keeps the median time of the curve at each
+           B1 over the repeats, and what each curve returned (null: no
+           split).
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -140,7 +141,7 @@ def _stages(p: dict, recs: list) -> dict:
 
 # nextprime(10**31) * nextprime(10**32)
 CURVE = {"semiprime": (10 ** 31 + 33) * (10 ** 32 + 49),
-         "b1": [2000, 11000, 50000], "sigma": 6}
+         "b1": [500, 2000, 11000, 50000], "sigma": 6}
 
 WINDOW = {"lo": 5 * 10 ** 8, "hi": 5 * 10 ** 8 + (1 << 20) - 1, "workers": 1}
 

@@ -531,9 +531,21 @@ def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
 # Stage 2 of a curve with stage-1 bound B1 covers the primes up to
 # _ECM_B2_RATIO * B1, as q = m*D +- j with 0 < j < D/2 coprime to D.
 _ECM_B2_RATIO = 100
-_ECM_D = 2310
-_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2)
-                  if math.gcd(j, _ECM_D) == 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _ecm_plan(b2: int) -> tuple[int, tuple[int, ...]]:
+    """(D, baby) of a stage 2 to b2, baby the odd j < D/2 coprime to D:
+    the D of a few with the fewest products, at 6 per differential
+    addition and 4 per batched-inversion entry. The baby steps cost about
+    D/4 additions and len(baby) + 1 entries, each of about b2/D giant
+    steps one of each."""
+    def cost(plan):
+        d, baby = plan
+        return 6 * (baby[-1] // 2 + b2 // d) + 4 * (len(baby) + b2 // d)
+    return min(((d, tuple(j for j in range(1, d // 2, 2)
+                          if math.gcd(j, d) == 1))
+                for d in (210, 420, 630, 1050, 2310, 4620)), key=cost)
 
 
 _ECM_ROWS = 64  # giant steps per sieved segment of stage 2
@@ -542,23 +554,24 @@ _ECM_ROWS = 64  # giant steps per sieved segment of stage 2
 def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, list[bytes]]]:
     """(m0, rows) for each segment of at most _ECM_ROWS giant steps m = m0,
     m0 + 1, ...: rows[m - m0][i] is 1 when m*D - j or m*D + j, j =
-    _ECM_BABY[i], is a prime in (b1, b2]. Sieved a segment at a time, so
-    memory does not grow with b2; the primes below D/2 are left to the
-    baby steps themselves."""
-    half, width = _ECM_D // 2, len(_ECM_BABY)
-    m0, m_end = max(1, (b1 + half) // _ECM_D), (b2 + half) // _ECM_D + 1
+    baby[i], is a prime in (b1, b2], for (D, baby) = _ecm_plan(b2).
+    Sieved a segment at a time, so memory does not grow with b2; the
+    primes below D/2 are left to the baby steps themselves."""
+    d, baby = _ecm_plan(b2)
+    half, width = d // 2, len(baby)
+    m0, m_end = max(1, (b1 + half) // d), (b2 + half) // d + 1
     for ma in range(m0, m_end, _ECM_ROWS):
         rows = min(_ECM_ROWS, m_end - ma)
-        base = ma * _ECM_D - half  # q = m*D +- j sits at q - base
-        pf = _prime_flags(base, base + (rows + 1) * _ECM_D)
+        base = ma * d - half  # q = m*D +- j sits at q - base
+        pf = _prime_flags(base, base + (rows + 1) * d)
         if b1 >= base:
             pf[:b1 + 1 - base] = bytes(b1 + 1 - base)
         if b2 + 1 - base < len(pf):
             pf[b2 + 1 - base:] = bytes(len(pf) - (b2 + 1 - base))
         seg = bytearray(rows * width)
-        for i, j in enumerate(_ECM_BABY):
-            lo = int.from_bytes(pf[half - j::_ECM_D][:rows], "little")
-            hi = int.from_bytes(pf[half + j::_ECM_D][:rows], "little")
+        for i, j in enumerate(baby):
+            lo = int.from_bytes(pf[half - j::d][:rows], "little")
+            hi = int.from_bytes(pf[half + j::d][:rows], "little")
             seg[i::width] = (lo | hi).to_bytes(rows, "little")
         table = bytes(seg)
         yield ma, [table[r * width:(r + 1) * width] for r in range(rows)]
@@ -577,7 +590,7 @@ _ECM_RAMP = ((6, 500), (25, 2_000), (90, 11_000))
 # Census checkpoints record it with the policy, so one saved under another
 # ladder, whose blocked counts this one need not reproduce, is refused
 # rather than resumed or overwritten: delete it to start again.
-LADDER_VERSION = 4
+LADDER_VERSION = 5
 
 # Stage-2 rows up to the ramp's largest B2 (at most about 180 KB) are kept
 # for the next curve; larger ones are sieved by each curve and freed. A
@@ -664,10 +677,11 @@ def _ecm_curve(n: int, b1: int, sigma: int,
 
     Montgomery curve, Suyama parametrization, x-only arithmetic. Stage 1
     multiplies the start point by each factor of _ecm_stage1_scalars(b1)
-    in one ladder, scaling the point to Z = 1 between factors. Stage 2
-    scales the baby steps, and each segment's giant steps, to Z = 1 by one
-    inversion, so each of its primes costs one product. A Z that is not
-    invertible mod n splits n there."""
+    in one ladder, scaling the point to Z = 1 between factors. Stage 2,
+    with D and the baby steps sized to B2 by _ecm_plan, scales the baby
+    steps, and each segment's giant steps, to Z = 1 by one inversion, so
+    each of its primes costs one product. A Z that is not invertible mod
+    n splits n there."""
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
     x, z = pow(u, 3, n), pow(v, 3, n)
@@ -695,19 +709,20 @@ def _ecm_curve(n: int, b1: int, sigma: int,
 
     # Baby steps x(j*Q) for the odd j < D/2 coprime to D, and the giant
     # step R = D*Q. Their z's vanish mod p when Q's order divides j or D.
+    b2 = _ECM_B2_RATIO * b1
+    d, baby = _ecm_plan(b2)
     x2, z2, x3, z3 = _ecm_ladder(2, x, a24, n)
     odd = [(x, 1), (x3, z3)]  # Q, 3Q, 5Q, ...
-    while len(odd) <= _ECM_BABY[-1] // 2:
+    while len(odd) <= baby[-1] // 2:
         odd.append(x_add(*odd[-1], x2, z2, *odd[-2]))
-    g, xs = _ecm_affine([*(odd[j // 2] for j in _ECM_BABY),
-                         _ecm_ladder(_ECM_D, x, a24, n)[:2]], n)
+    g, xs = _ecm_affine([*(odd[j // 2] for j in baby),
+                         _ecm_ladder(d, x, a24, n)[:2]], n)
     if g > 1:
         return g if g < n else None
     rx = xs.pop()
 
     # Giant steps m*R: q*Q = O mod p for q = m*D +- j exactly when
     # x(m*R) = x(j*Q) mod p, so multiply the differences together.
-    b2 = _ECM_B2_RATIO * b1
     segments = (_ecm_stage2_kept(b1, b2) if b2 <= _ECM_KEEP_B2
                 else _ecm_stage2_rows(b1, b2))
     acc, xm = 1, None

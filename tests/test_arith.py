@@ -1,5 +1,6 @@
 """Tests for primality, factoring, CRT, and the squarefree sieve."""
 
+import itertools
 import math
 import random
 import re
@@ -455,6 +456,56 @@ def test_ecm_stage2_finds_what_stage1_cannot(p, sigma):
     order = _stage1_point_order(sigma, p, b1)
     assert b1 < max(sympy.factorint(order)) <= 100 * b1
     assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+
+
+# (p, sigma): the stage-1 point's order mod p at B1 = 500 is a prime in
+# (B1, 100*B1]. Stage 2 there runs at D = 420, where 727 is no longer a
+# baby step, as it was at D = 2310, but the cell 2*420 - 113.
+STAGE2_ONLY_500 = [(9000011, 6), (9000011, 7), (9000059, 9)]
+
+
+@pytest.mark.parametrize("p,sigma", STAGE2_ONLY_500)
+def test_ecm_stage2_at_the_first_rung_finds_what_stage1_cannot(p, sigma):
+    b1 = 500
+    order = _stage1_point_order(sigma, p, b1)
+    assert sympy.isprime(order) and b1 < order <= 100 * b1
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+
+
+def test_ecm_plan_sizes_d_to_b2():
+    # the ramp's rungs, then the default policy's ecm_b1
+    b2s = [arith._ECM_B2_RATIO * b1 for _, b1 in arith._ECM_RAMP]
+    assert [arith._ecm_plan(b2)[0] for b2 in b2s] == [420, 1050, 2310]
+    assert arith._ecm_plan(5_000_000)[0] == 4620
+    d, baby = arith._ecm_plan(50_000)
+    assert baby == tuple(j for j in range(1, d // 2)
+                         if j % 2 and math.gcd(j, d) == 1)
+    assert len(baby) == 48 and baby[-1] == 209
+
+
+@pytest.mark.parametrize("b1,b2", [
+    (500, 50_000), (2000, 200_000), (11_000, 1_100_000),
+    (50_000, 5_000_000), (13, 97), (11, 1100), (100, 10_000),
+    (1000, 3001)])
+def test_ecm_stage2_rows_and_baby_steps_cover_each_prime(b1, b2):
+    # each flagged cell m*D +- j holds a prime of (b1, b2], and each such
+    # prime is in a flagged cell or is a baby step j itself
+    d, baby = arith._ecm_plan(b2)
+    top = b2 + d  # past the last cell
+    prime = bytearray([1]) * top  # a plain sieve of Eratosthenes
+    prime[:b1 + 1], prime[b2 + 1:] = bytes(b1 + 1), bytes(top - b2 - 1)
+    for q in range(2, math.isqrt(top) + 1):
+        prime[q * q::q] = bytes(len(range(q * q, top, q)))
+    covered = bytearray(top)
+    for m0, rows in arith._ecm_stage2_rows(b1, b2):
+        for m, flags in enumerate(rows, m0):
+            for j in itertools.compress(baby, flags):
+                lo, hi = m * d - j, m * d + j
+                assert prime[lo] or prime[hi], (m, j)
+                covered[lo] = covered[hi] = 1
+    for j in baby:
+        covered[j] = 1
+    assert not any(itertools.compress(prime, (1 - c for c in covered)))
 
 
 # (p, sigma, b1): the stage-1 point is O mod p, so stage 1 alone finds p.

@@ -89,12 +89,13 @@ def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
             f"{gr._policy_fingerprint(pol)}: delete it")):
         gr.bfs_levels(1, 7, checkpoint=str(ck))
     assert ck.read_bytes() == before
-    # as saved by the ladder before the one-ladder stage 1, and by the one
-    # before the measured first rung and short rho budget
-    assert arith.LADDER_VERSION == 4
-    for old in (2, 3):
+    # as saved by the ladder before the one-ladder stage 1, by the one
+    # before the measured first rung and short rho budget, and by the one
+    # before stage 2's D was sized to B2
+    assert arith.LADDER_VERSION == 5
+    for old in (2, 3, 4):
         obj["policy"] = gr._policy_fingerprint(pol).replace(
-            ":ladder4", f":ladder{old}")
+            ":ladder5", f":ladder{old}")
         ck.write_text(json.dumps(obj) + "\n" + rest)
         before = ck.read_bytes()
         capsys.readouterr()
