@@ -29,8 +29,7 @@ Jobs:
            also counts what one run leaves alive into the next.
   curve    one elliptic curve (sigma 6) at each B1 of 500, 2000, 11000
            and 50000 on a fixed 210-bit semiprime whose two primes no
-           curve can find. Keeps the median time of the curve at each
-           B1 over the repeats, and what each curve returned (null: no
+           curve can find. Keeps what each curve returned (null: no
            split).
 
 Each record holds the job's parameters, the median and the individual
@@ -41,11 +40,15 @@ the root of the checkout unless --out names another file.
 
 A shared machine's speed drifts by up to 1.8x over minutes, so the raw
 times of two records taken one after the other cannot resolve a change
-under about 20%. So, as ``perfbench/run.py`` does, a fixed
-pure-Python loop (the probe) is timed before the first repeat and after
-each, and the record also keeps the probes (``probe_ms``) and the median
-of the times scaled to the reference speed (``median_wall_s_at_ref``):
-each time times ``REF_PROBE_MS`` over the mean of the probes around it.
+under about 20%. So every time is taken by one ``Timer``: as
+``perfbench/run.py`` does, a fixed pure-Python loop (the probe) is timed
+before the first timed call and after each, and each call's time is also
+scaled to the reference speed, times ``REF_PROBE_MS`` over the mean of
+the probes around it. A repeat's time is the sum of its timed calls. The
+record also keeps the probes (``probe_ms``) and the median of the scaled
+times (``median_wall_s_at_ref``); a job whose repeat makes several timed
+calls (``curve``, one per B1) keeps each call's median ms over the
+repeats, raw (``median_ms``) and scaled (``median_ms_at_ref``).
 
 Example:
     PYTHONPATH=src python scripts/bench.py census --note "after the change"
@@ -83,9 +86,9 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _search(p: dict) -> list:
-    return list(search_range(SearchConfig(p["lo"], p["hi"],
-                                          worker_count=p["workers"])))
+def _search(p: dict, timed) -> list:
+    return timed(lambda: list(search_range(
+        SearchConfig(p["lo"], p["hi"], worker_count=p["workers"]))))
 
 
 def cpu_probe_ms() -> float:
@@ -101,6 +104,26 @@ def cpu_probe_ms() -> float:
     return 1e3 * statistics.mean(times)
 
 
+class Timer:
+    """Probe-scaled timing: the probe is timed when the timer is made and
+    after each call, and each call's seconds are kept raw (``walls``) and
+    scaled to the reference speed (``at_ref``): times ``REF_PROBE_MS``
+    over the mean of the two probes around the call."""
+
+    def __init__(self):
+        self.probes, self.walls, self.at_ref = [cpu_probe_ms()], [], []
+
+    def __call__(self, fn, *args):
+        """fn(*args), timed."""
+        t0 = time.perf_counter()
+        result = fn(*args)
+        wall = time.perf_counter() - t0
+        self.probes.append(cpu_probe_ms())
+        self.walls.append(wall)
+        self.at_ref.append(wall * 2 * REF_PROBE_MS / sum(self.probes[-2:]))
+        return result
+
+
 def _jsonl_sha256(recs: list) -> str:
     return _sha256("".join(r.to_json_line() + "\n" for r in recs))
 
@@ -110,21 +133,6 @@ def _pairs_summary(recs: list) -> dict:
             "per_k": {str(k): n for k, n in sorted(Counter(
                 len(r.p.primes) for r in recs).items())},
             "jsonl_sha256": _jsonl_sha256(recs)}
-
-
-def _curves(p: dict) -> list:
-    """(seconds, result) of one curve at each of the job's B1."""
-    out = []
-    for b1 in p["b1"]:
-        t0 = time.perf_counter()
-        d = _ecm_curve(p["semiprime"], b1, p["sigma"], None)
-        out.append((time.perf_counter() - t0, d))
-    return out
-
-
-def _every_run(summary):
-    summary.every_run = True
-    return summary
 
 
 def _stages(p: dict, recs: list) -> dict:
@@ -145,24 +153,25 @@ CURVE = {"semiprime": (10 ** 31 + 33) * (10 ** 32 + 49),
 
 WINDOW = {"lo": 5 * 10 ** 8, "hi": 5 * 10 ** 8 + (1 << 20) - 1, "workers": 1}
 
-# job -> (the parameters kept in its record, a run of those parameters,
-# and the summary kept in its record of the last run's output; a summary
-# marked by _every_run is given every run's output instead)
+# job -> (the parameters kept in its record, a run of those parameters
+# that times its work through the Timer it is given, and the summary kept
+# in its record of the last run's output)
 JOBS = {
     "census": (
         {"policy": STRETCH.__dict__, "max_level": 10},
-        lambda p: bfs_levels(1, p["max_level"], STRETCH),
+        lambda p, timed: timed(bfs_levels, 1, p["max_level"], STRETCH),
         lambda sums: {"levels": [s.node_count for s in sums],
                       "blocked": [s.composite_count for s in sums]}),
     "explore": (
         {"roots": [1], "bound": 1 << 16, "max_level": 28},
-        lambda p: list(bounded_explore(p["roots"], p["bound"],
-                                       p["max_level"])),
+        lambda p, timed: timed(lambda: list(bounded_explore(
+            p["roots"], p["bound"], p["max_level"]))),
         lambda nodes: {"reaches": len(nodes), "edges_sha256": _sha256("".join(
             ",".join(map(str, nd.edge_primes)) + "\n" for nd in nodes))}),
     "growth": (
         {"k_max": 10 ** 6, "trials": 20, "seed": 12345},
-        lambda p: simulate_growth_model(p["k_max"], p["trials"], p["seed"]),
+        lambda p, timed: timed(simulate_growth_model, p["k_max"],
+                               p["trials"], p["seed"]),
         lambda stats: {"ratios_sha256": _sha256(
             " ".join(r.hex() for r in stats.ratios))}),
     "pairs": ({"lo": 2, "hi": 1 << 22, "workers": 1}, _search,
@@ -171,16 +180,18 @@ JOBS = {
         **_pairs_summary(recs), "stages": _stages(WINDOW, recs)}),
     "modulus": (
         {"modulus": 6469693230},
-        lambda p: search_modulus(p["modulus"], factor(p["modulus"])),
+        lambda p, timed: timed(lambda: search_modulus(
+            p["modulus"], factor(p["modulus"]))),
         lambda recs: {
             "records": len(recs), "jsonl_sha256": _jsonl_sha256(recs),
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}),
-    "curve": (CURVE, _curves, _every_run(lambda runs: {
-        "median_ms": [round(statistics.median(r[i][0] for r in runs) * 1000,
-                            1) for i in range(len(CURVE["b1"]))],
-        "splits": [d for _, d in runs[-1]]})),
+    "curve": (
+        CURVE,
+        lambda p, timed: [timed(_ecm_curve, p["semiprime"], b1, p["sigma"],
+                                None) for b1 in p["b1"]],
+        lambda ds: {"splits": ds}),
 }
 
 
@@ -207,25 +218,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     params, run, summary = JOBS[args.job]
-    every_run = getattr(summary, "every_run", False)
-    walls, runs, probes = [], [], [cpu_probe_ms()]
+    timer, walls, at_ref = Timer(), [], []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        result = run(params)
-        walls.append(round(time.perf_counter() - t0, 4))
-        probes.append(cpu_probe_ms())
-        if every_run:
-            runs.append(result)
-    at_ref = [w * 2 * REF_PROBE_MS / (before + after)
-              for w, before, after in zip(walls, probes, probes[1:])]
+        done = len(timer.walls)
+        result = run(params, timer)
+        walls.append(round(sum(timer.walls[done:]), 4))
+        at_ref.append(sum(timer.at_ref[done:]))
+    calls = len(timer.walls) // REPEATS
     record = {"revision": revision(), "note": args.note, **params,
               "repeats": REPEATS, "median_wall_s": statistics.median(walls),
               "wall_s": walls,
               "median_wall_s_at_ref": round(statistics.median(at_ref), 4),
-              "probe_ms": [round(p, 3) for p in probes],
+              "probe_ms": [round(p, 3) for p in timer.probes],
               "cores": os.cpu_count(),
-              "python": platform.python_version(),
-              **summary(runs if every_run else result)}
+              "python": platform.python_version()}
+    if calls > 1:
+        for key, times in (("median_ms", timer.walls),
+                           ("median_ms_at_ref", timer.at_ref)):
+            record[key] = [round(1e3 * statistics.median(times[i::calls]), 2)
+                           for i in range(calls)]
+    record |= summary(result)
     out = Path(args.out or ROOT / f"BENCH_{args.job}.json")
     records = json.loads(out.read_text())["records"] if out.exists() else []
     records.append(record)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Split rates of one elliptic curve and of the short rho pass, by the
-size of the smallest factor, and the ladder constants they select.
+size of the smallest factor.
 
 For each size b of 20, 22, ..., 70 bits, SEMIPRIMES semiprimes n = p*q
 are drawn by ``random.Random(b)``: p a random prime of b bits and q one
@@ -13,28 +13,20 @@ of max(100 - b, b + 8) bits, so n has 100 bits until p has 46. On them:
        6 + j as the ladder numbers its curves. A B1 stops after the
        first round that brings its splits to SPLITS, or after ROUNDS.
 
-Each cell keeps its tries, its splits and its seconds; the rate is
+Each cell keeps its tries, its splits and its seconds, timed by
+``bench.Timer`` and so scaled to the probe's reference speed; the rate is
 splits per try and the ms per split is the cell's time over its splits.
 The semiprimes, curves and so the tries and splits are deterministic;
 only the seconds vary with the machine.
 
-The rule (``choose``): the short rho pass and a first rung of curves
-in front of the ramp's 2000 rung are chosen together. For a rho budget
-and a ramp, the expected ms to split a semiprime of one size is that of
-the short pass, then of each curve, rung by rung, until one splits, each
-try costing the table's ms per try at that size and splitting at its
-rate (curves past the ramp are not counted). Of every budget of the
-table and every first rung (count, B1) with count 0 to MAX_COUNT and a
-B1 of the table below 2000, followed by the later rungs LATER_RUNGS
-(Zimmermann and Dodson's rows for factors of 15 and 20 digits, "20
-Years of ECM", ANTS 2006), the rule takes the one with the least
-geometric mean of that expected ms over every size of the table. The
-geometric mean weighs a saving of a tenth at one size as much as at any
-other, so neither the cheap small factors nor the dear large ones set
-the choice alone.
+The table is per-size data for the factoring ladder, not the arbiter of
+its constants: the short rho budget and first rung of ``arith`` were set
+by the census's wall time, whose composites (56 to 119 bits) are not
+these 100-bit semiprimes.
 
-Writes ``SPLIT_RATES.json`` at the root of the checkout (or --out) and
-prints the selection. About seven minutes on one core of a 2-core VM.
+Writes ``SPLIT_RATES.json`` at the root of the checkout (or --out), with
+the ladder version (``arith.LADDER_VERSION``) it was measured at. About
+eight minutes on one core of a 2-core VM.
 
 Example:
     PYTHONPATH=src python scripts/split_rates.py
@@ -42,15 +34,14 @@ Example:
 
 import argparse
 import json
-import math
 import os
 import platform
 import random
 import sys
-import time
 from pathlib import Path
 
-from emgraph.arith import _ecm_curve, _rho_brent, is_prime
+import bench
+from emgraph.arith import LADDER_VERSION, _ecm_curve, _rho_brent, is_prime
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = range(20, 71, 2)
@@ -58,9 +49,6 @@ SEMIPRIMES = 32
 RHO_BUDGETS = (1024, 2048, 4096)
 ECM_B1 = (250, 500, 1000, 2000, 11000)
 SPLITS, ROUNDS = 24, 8
-
-LATER_RUNGS = ((25, 2000), (90, 11000))
-MAX_COUNT = 60
 
 
 def _prime(rng: random.Random, bits: int) -> int:
@@ -87,58 +75,30 @@ def _cell(tries: int, splits: int, seconds: float) -> dict:
                              if splits else None)}
 
 
+def _rounds(ns: list, b1: int) -> tuple[int, int]:
+    """(rounds, splits) of curves at B1 b1 in rounds over ns."""
+    rounds = splits = 0
+    while rounds < ROUNDS and splits < SPLITS:
+        splits += sum(_ecm_curve(n, b1, 6 + rounds, None) is not None
+                      for n in ns)
+        rounds += 1
+    return rounds, splits
+
+
 def measure(bits: int, budgets=RHO_BUDGETS, b1s=ECM_B1) -> dict:
     """The row of one factor size."""
     ns = [p * q for p, q in semiprimes(bits)]
     row = {"bits": bits, "rho": {}, "ecm": {}}
+    timed = bench.Timer()
     for budget in budgets:
-        t0, splits = time.perf_counter(), 0
-        for n in ns:
-            splits += _rho_brent(n, budget, None, (1,)) is not None
-        row["rho"][str(budget)] = _cell(len(ns), splits,
-                                        time.perf_counter() - t0)
+        splits = timed(lambda: sum(_rho_brent(n, budget, None, (1,))
+                                   is not None for n in ns))
+        row["rho"][str(budget)] = _cell(len(ns), splits, timed.at_ref[-1])
     for b1 in b1s:
-        t0, splits, rounds = time.perf_counter(), 0, 0
-        while rounds < ROUNDS and splits < SPLITS:
-            for n in ns:
-                splits += _ecm_curve(n, b1, 6 + rounds, None) is not None
-            rounds += 1
+        rounds, splits = timed(_rounds, ns, b1)
         row["ecm"][str(b1)] = _cell(rounds * len(ns), splits,
-                                    time.perf_counter() - t0)
+                                    timed.at_ref[-1])
     return row
-
-
-def _ladder_ms(row: dict, budget: int, rungs) -> float:
-    """Expected ms to split a semiprime of the row's size: the short pass,
-    then curves rung by rung until one splits."""
-    def per_try(cell):
-        return 1000 * cell["s"] / cell["tries"], cell["splits"] / cell["tries"]
-
-    ms, left = per_try(row["rho"][str(budget)])
-    left = 1 - left  # the share the short pass leaves
-    for count, b1 in rungs:
-        t, rate = per_try(row["ecm"][str(b1)])
-        miss = (1 - rate) ** count
-        ms += left * t * (count if rate == 0 else (1 - miss) / rate)
-        left *= miss
-    return ms
-
-
-def choose(table: dict) -> dict:
-    """The short rho budget and the ramp the rule selects from a table."""
-    rows = table["rows"]
-    best = None
-    for budget in RHO_BUDGETS:
-        for b1 in (b for b in ECM_B1 if b < LATER_RUNGS[0][1]):
-            for count in range(MAX_COUNT + 1):
-                ramp = ((count, b1),) * bool(count) + LATER_RUNGS
-                ms = math.exp(sum(math.log(_ladder_ms(r, budget, ramp))
-                                  for r in rows) / len(rows))
-                if best is None or ms < best[0]:
-                    best = (ms, budget, ramp)
-    ms, budget, ramp = best
-    return {"rho_short": budget, "ecm_ramp": [list(r) for r in ramp],
-            "geomean_ms": round(ms, 2)}
 
 
 def main(argv=None) -> int:
@@ -148,20 +108,17 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=str(ROOT / "SPLIT_RATES.json"),
                     help="table file (default SPLIT_RATES.json at the root)")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench import revision
 
     rows = []
     for bits in SIZES:
         rows.append(measure(bits))
         print(json.dumps(rows[-1]), file=sys.stderr)
-    table = {"revision": revision(), "cores": os.cpu_count(),
+    table = {"revision": bench.revision(), "ladder": LADDER_VERSION,
+             "ref_probe_ms": bench.REF_PROBE_MS, "cores": os.cpu_count(),
              "python": platform.python_version(),
              "semiprimes": SEMIPRIMES, "splits": SPLITS, "rounds": ROUNDS,
              "rows": rows}
-    table["selected"] = choose(table)
     Path(args.out).write_text(json.dumps(table, indent=1) + "\n")
-    print(json.dumps(table["selected"]))
     return 0
 
 

@@ -46,10 +46,17 @@ def test_bench_record_matches_committed_record(bench, job, tmp_path, capsys):
     new, last = records[-1], history[-1]
     assert list(new) == list(last)
     assert new["note"] == "test" and new["repeats"] == 1
-    assert len(new["wall_s"]) == 1 and len(new["probe_ms"]) == 2
     (wall,), probes = new["wall_s"], new["probe_ms"]
-    assert new["median_wall_s_at_ref"] == pytest.approx(
-        wall * 2 * bench.REF_PROBE_MS / sum(probes), rel=1e-2)
+    # the ms of each timed call of the run, each between two probes
+    ms = new.get("median_ms", [1e3 * wall])
+    assert len(probes) == len(ms) + 1
+    assert sum(ms) == pytest.approx(1e3 * wall, rel=1e-3)
+    at_ref = [t * 2 * bench.REF_PROBE_MS / (before + after)
+              for t, before, after in zip(ms, probes, probes[1:])]
+    assert new.get("median_ms_at_ref", at_ref) == pytest.approx(at_ref,
+                                                                rel=1e-2)
+    assert 1e3 * new["median_wall_s_at_ref"] == pytest.approx(sum(at_ref),
+                                                              rel=1e-2)
     for key in OUTPUT_FIELDS[job]:
         assert new[key] == last[key], key
     assert json.loads(capsys.readouterr().out) == new
