@@ -147,7 +147,7 @@ class EffortPolicy:
     B1 = 500, 25 at 2000 and 90 at 11000, each B1 capped at ``ecm_b1``;
     the rest run at ``ecm_b1`` (the default 50 curves: 6 at 500, 19 at
     2000, 25 at 50000). The short pass's budget and the first rung are
-    chosen from measured split rates (``scripts/split_rates.py``). With
+    those the level census ran fastest with, by its wall time. With
     ``ecm_curves`` of 0 (or ``ecm_b1`` below 2) only the last rho pass
     runs. ``time_budget`` caps the seconds of one ``factor`` call; 0 means
     unlimited time. A field of the wrong type (a bool, or a non-integer
@@ -580,8 +580,8 @@ def _ecm_stage2_rows(b1: int, b2: int) -> Iterator[tuple[int, list[bytes]]]:
 # The factoring ladder's fixed effort: the short rho pass before the
 # curves, and the curve count at each rising B1. At most half of a
 # policy's curves climb this ramp; the others use the policy's ecm_b1.
-# scripts/split_rates.py selects the budget and the first rung from the
-# split rates of SPLIT_RATES.json; the later rungs are Zimmermann and
+# The budget and the first rung are those the level census ran fastest
+# with (perfbench census wall_s); the later rungs are Zimmermann and
 # Dodson's choice for factors of 15 and of 20 digits.
 _RHO_SHORT = 1 << 11
 _ECM_RAMP = ((6, 500), (25, 2_000), (90, 11_000))
