@@ -22,7 +22,7 @@ only the seconds vary with the machine.
 The table is per-size data for the factoring ladder, not the arbiter of
 its constants: the short rho budget and first rung of ``arith`` were set
 by the census's wall time, whose composites (56 to 119 bits) are not
-these 100-bit semiprimes.
+these semiprimes of 100 bits and more.
 
 Writes ``SPLIT_RATES.json`` at the root of the checkout (or --out), with
 the ladder version (``arith.LADDER_VERSION``) it was measured at. About
@@ -76,7 +76,8 @@ def _cell(tries: int, splits: int, seconds: float) -> dict:
 
 
 def _rounds(ns: list, b1: int) -> tuple[int, int]:
-    """(rounds, splits) of curves at B1 b1 in rounds over ns."""
+    """(rounds, splits) of the curves at B1 b1, in rounds of one curve on
+    each of ns."""
     rounds = splits = 0
     while rounds < ROUNDS and splits < SPLITS:
         splits += sum(_ecm_curve(n, b1, 6 + rounds, None) is not None
