@@ -189,8 +189,8 @@ JOBS = {
                 resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}),
     "curve": (
         CURVE,
-        lambda p, timed: [timed(_ecm_curve, p["semiprime"], b1, p["sigma"],
-                                None) for b1 in p["b1"]],
+        lambda p, timed: [timed(_ecm_curve, p["semiprime"], b1, p["sigma"])
+                          for b1 in p["b1"]],
         lambda ds: {"splits": ds}),
 }
 

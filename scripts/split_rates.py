@@ -80,8 +80,7 @@ def _rounds(ns: list, b1: int) -> tuple[int, int]:
     each of ns."""
     rounds = splits = 0
     while rounds < ROUNDS and splits < SPLITS:
-        splits += sum(_ecm_curve(n, b1, 6 + rounds, None) is not None
-                      for n in ns)
+        splits += sum(_ecm_curve(n, b1, 6 + rounds) is not None for n in ns)
         rounds += 1
     return rounds, splits
 
@@ -92,7 +91,7 @@ def measure(bits: int, budgets=RHO_BUDGETS, b1s=ECM_B1) -> dict:
     row = {"bits": bits, "rho": {}, "ecm": {}}
     timed = bench.Timer()
     for budget in budgets:
-        splits = timed(lambda: sum(_rho_brent(n, budget, None, (1,))
+        splits = timed(lambda: sum(_rho_brent(n, budget, (1,))
                                    is not None for n in ns))
         row["rho"][str(budget)] = _cell(len(ns), splits, timed.at_ref[-1])
     for b1 in b1s:

@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -149,27 +148,24 @@ class EffortPolicy:
     2000, 25 at 50000). The short pass's budget and the first rung are
     those the level census ran fastest with, by its wall time. With
     ``ecm_curves`` of 0 (or ``ecm_b1`` below 2) only the last rho pass
-    runs. ``time_budget`` caps the seconds of one ``factor`` call; 0 means
-    unlimited time. A field of the wrong type (a bool, or a non-integer
-    where an integer is due) or a negative field raises ValueError.
+    runs. These fields alone bound a ``factor`` call's work, so its result
+    depends on its arguments, never on the machine's speed. A field that
+    is not an int (a bool included) or is negative raises ValueError.
     """
 
     trial_bound: int = 10_000
     rho_iterations: int = 400_000
     ecm_curves: int = 50
     ecm_b1: int = 50_000
-    time_budget: float = 0.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if isinstance(value, bool) or not isinstance(value, (kind, int)):
-                raise ValueError(f"policy field {f.name} must be "
-                                 f"{kind.__name__}, not {value!r}")
-            if not value >= 0:
-                raise ValueError(f"policy field {f.name} must be "
-                                 "nonnegative")
-            object.__setattr__(self, f.name, kind(value))
+            value = getattr(self, f.name)
+            if type(value) is not int:  # refuses bool, a subclass of int
+                raise ValueError(f"policy field {f.name} must be int, not "
+                                 f"{value!r}")
+            if value < 0:
+                raise ValueError(f"policy field {f.name} must be nonnegative")
 
     @property
     def small_prime_bound(self) -> int:
@@ -487,35 +483,26 @@ def _perfect_power(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _rho_brent(n: int, max_iters: int, deadline: Optional[float],
+def _rho_brent(n: int, max_iters: int,
                polynomials: Sequence[int] = (1, 3, 5, 7, 11)) -> Optional[int]:
-    # Brent-style cycle finding with batched gcds; n odd composite. The
-    # deadline is checked before every 128 steps.
-    def late() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
+    # Brent-style cycle finding with a gcd per batch of 128 products; n odd
+    # composite.
     for c in polynomials:
         y, r, q = 2, 1, 1
         g, ys, x = 1, y, y
         count = 0
         while g == 1 and count < max_iters:
             x = y
+            for _ in range(r):
+                y = (y * y + c) % n
             for k in range(0, r, 128):
-                if late():
-                    return None
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                if late():
-                    return None
                 ys = y
-                batch = min(128, r - k)
-                for _ in range(batch):
+                for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
-                k += batch
+                if g > 1:
+                    break
             count += r
             r <<= 1
         if g == n:
@@ -604,7 +591,9 @@ def _ecm_stage2_kept(b1: int, b2: int) -> tuple[tuple[int, list[bytes]], ...]:
     return tuple(_ecm_stage2_rows(b1, b2))
 
 
-_ECM_PIECE_BITS = 4096  # stage-1 scalar bits between deadline checks
+# Stage-1 scalar bits between gcd checks. A check can split n before the
+# orders mod both primes divide the whole scalar, so pieces set the splits.
+_ECM_PIECE_BITS = 4096
 
 
 @functools.lru_cache(maxsize=4)
@@ -670,8 +659,7 @@ def _ecm_affine(points: list[tuple[int, int]], n: int
     return 1, xs
 
 
-def _ecm_curve(n: int, b1: int, sigma: int,
-               deadline: Optional[float]) -> Optional[int]:
+def _ecm_curve(n: int, b1: int, sigma: int) -> Optional[int]:
     """One elliptic curve on n: stage 1 to b1, then Montgomery's standard
     continuation to _ECM_B2_RATIO * b1. A proper factor of n, or None.
 
@@ -694,8 +682,6 @@ def _ecm_curve(n: int, b1: int, sigma: int,
     a24, x = num * z * inv % n, x * den * inv % n
 
     for k in _ecm_stage1_scalars(b1):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         x, z, _, _ = _ecm_ladder(k, x, a24, n)
         g = math.gcd(z, n)
         if g > 1:
@@ -737,8 +723,6 @@ def _ecm_curve(n: int, b1: int, sigma: int,
         if g > 1:
             return g if g < n else None
         for gx, flags in zip(gxs, rows):
-            if deadline is not None and time.monotonic() > deadline:
-                return None
             for xj in itertools.compress(xs, flags):
                 acc = acc * (gx - xj) % n
     g = math.gcd(acc, n)
@@ -754,8 +738,8 @@ def _ecm_bounds(policy: EffortPolicy) -> Iterator[int]:
         ramp, itertools.repeat(policy.ecm_b1, policy.ecm_curves - len(ramp)))
 
 
-def _split_composite(m: int, policy: EffortPolicy, cache: Optional[FactorCache],
-                     deadline: Optional[float]) -> Optional[list[int]]:
+def _split_composite(m: int, policy: EffortPolicy,
+                     cache: Optional[FactorCache]) -> Optional[list[int]]:
     if cache is not None:
         entry = cache.lookup(m)
         if entry:
@@ -775,18 +759,15 @@ def _split_composite(m: int, policy: EffortPolicy, cache: Optional[FactorCache],
         return [base] * exp
     if policy.ecm_curves and policy.ecm_b1 >= 2:
         if policy.rho_iterations:
-            d = _rho_brent(m, min(policy.rho_iterations, _RHO_SHORT),
-                           deadline, (1,))
+            d = _rho_brent(m, min(policy.rho_iterations, _RHO_SHORT), (1,))
             if d is not None:
                 return [d, m // d]
         for sigma, b1 in zip(itertools.count(6), _ecm_bounds(policy)):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            d = _ecm_curve(m, b1, sigma, deadline)
+            d = _ecm_curve(m, b1, sigma)
             if d is not None:
                 return [d, m // d]
     if policy.rho_iterations:
-        d = _rho_brent(m, policy.rho_iterations, deadline)
+        d = _rho_brent(m, policy.rho_iterations)
         if d is not None:
             return [d, m // d]
     return None
@@ -802,8 +783,6 @@ def factor(n: int, policy: EffortPolicy = DEFAULT_POLICY,
     """
     if n < 1:
         raise ValueError("factor() requires n >= 1")
-    deadline = (time.monotonic() + policy.time_budget
-                if policy.time_budget else None)
     counts: dict[int, int] = {}
     rest = n
     for p in small_prime_factors(n, policy.small_prime_bound):
@@ -820,7 +799,7 @@ def factor(n: int, policy: EffortPolicy = DEFAULT_POLICY,
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        parts = _split_composite(m, policy, cache, deadline)
+        parts = _split_composite(m, policy, cache)
         if parts is None:
             leftover.append(m)
             continue

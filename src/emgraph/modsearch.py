@@ -591,8 +591,10 @@ def search_range(cfg: SearchConfig,
     bounds = [(start, min(start + _CHUNK - 1, cfg.hi))
               for start in range(lo, cfg.hi + 1, _CHUNK)]
 
-    parallel = cfg.worker_count > 1
-    with (multiprocessing.Pool(cfg.worker_count) if parallel
+    # a pool starts all its workers at once: no more than there are chunks
+    workers = min(cfg.worker_count, len(bounds))
+    parallel = workers > 1
+    with (multiprocessing.Pool(workers) if parallel
           else contextlib.nullcontext()) as pool:
         # the workers fork before the candidates exist, so hold no copy
         chunks: Iterable[tuple] = (

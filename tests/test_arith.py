@@ -4,8 +4,6 @@ import itertools
 import math
 import random
 import re
-import time
-import types
 
 import pytest
 import sympy
@@ -117,17 +115,11 @@ def test_factor_examples(n, factors):
 
 @pytest.mark.parametrize("field,value", [
     ("ecm_curves", "50"), ("trial_bound", 1.5), ("ecm_b1", True),
-    ("rho_iterations", None), ("time_budget", "1"), ("time_budget", False),
-    ("ecm_curves", -1), ("time_budget", float("nan")),
+    ("rho_iterations", None), ("ecm_curves", -1),
 ])
 def test_effort_policy_rejects_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         arith.EffortPolicy(**{field: value})
-
-
-def test_effort_policy_takes_an_integer_time_budget():
-    pol = arith.EffortPolicy(time_budget=2)
-    assert pol.time_budget == 2.0 and isinstance(pol.time_budget, float)
 
 
 def test_factor_against_trial_division():
@@ -455,7 +447,7 @@ def test_ecm_stage2_finds_what_stage1_cannot(p, sigma):
     b1 = 2000
     order = _stage1_point_order(sigma, p, b1)
     assert b1 < max(sympy.factorint(order)) <= 100 * b1
-    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma) == p
 
 
 # (p, sigma): the stage-1 point's order mod p at B1 = 500 is a prime in
@@ -469,7 +461,7 @@ def test_ecm_stage2_at_the_first_rung_finds_what_stage1_cannot(p, sigma):
     b1 = 500
     order = _stage1_point_order(sigma, p, b1)
     assert sympy.isprime(order) and b1 < order <= 100 * b1
-    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma) == p
 
 
 def test_ecm_plan_sizes_d_to_b2():
@@ -527,7 +519,7 @@ def test_ecm_stage1_finds_points_of_smooth_order(monkeypatch, p, sigma, b1):
         raise AssertionError("stage 2 ran")
     monkeypatch.setattr(arith, "_ecm_stage2_kept", no_stage2)
     monkeypatch.setattr(arith, "_ecm_stage2_rows", no_stage2)
-    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) == p
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma) == p
 
 
 @pytest.mark.parametrize("p,sigma", BEYOND_STAGE2)
@@ -535,7 +527,7 @@ def test_ecm_misses_points_of_order_past_stage2(p, sigma):
     b1 = 2000
     order = _stage1_point_order(sigma, p, b1)
     assert max(sympy.factorint(order)) > 100 * b1
-    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma, None) is None
+    assert arith._ecm_curve(p * (2 ** 61 - 1), b1, sigma) is None
 
 
 @pytest.mark.parametrize("b1", [2, 2000, 2187, 50000])
@@ -576,73 +568,6 @@ def test_default_policy_splits_factors_the_ramp_targets(bits, monkeypatch):
     fz = arith.factor(p * q)
     assert fz.complete and fz.primes == (p, q)
     assert budgets == [arith._RHO_SHORT]
-
-
-def test_ecm_time_budget_honoured_in_stage2(monkeypatch):
-    p, sigma = STAGE2_ONLY[0]  # sigma 6 is the first curve's
-    n = p * (2 ** 61 - 1)
-    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_curves=1,
-                             ecm_b1=2000, time_budget=10.0)
-    assert arith.factor(n, pol).complete  # split by the first stage 2
-    clock = [0.0]
-    rows = arith._ecm_stage2_kept  # B2 = 200000 is one of the ramp's
-
-    def jump_then_rows(*args):
-        clock[0] = 1e9  # past any deadline, once stage 2 starts
-        return rows(*args)
-
-    monkeypatch.setattr(arith, "time",
-                        types.SimpleNamespace(monotonic=lambda: clock[0]))
-    monkeypatch.setattr(arith, "_ecm_stage2_kept", jump_then_rows)
-    assert not arith.factor(n, pol).complete
-    clock[0] = 0.0
-    assert arith._ecm_curve(n, 2000, sigma, 10.0) is None
-
-
-def test_rho_time_budget_checked_every_128_steps(monkeypatch):
-    # a fake clock that advances one second per reading, against a
-    # budget of 20: the reductions mod n between two readings stay within
-    # one batch of 128 steps, where a check per doubled block lets a
-    # block of 2**17 steps run between readings
-    n = sympy.nextprime(2 ** 99) * sympy.nextprime(2 ** 109)
-    reductions, readings = [0], []
-
-    class Counted(int):  # counts the reductions mod n
-        def __rmod__(self, other):
-            reductions[0] += 1
-            return other % int(self)
-
-    def monotonic():
-        readings.append(reductions[0])
-        return float(len(readings))
-
-    monkeypatch.setattr(arith, "time",
-                        types.SimpleNamespace(monotonic=monotonic))
-    assert arith._rho_brent(Counted(n), 100_000, 20.0) is None
-    assert len(readings) == 21
-    assert max(b - a for a, b in zip(readings, readings[1:])) <= 2 * 128
-    # without a deadline, and with one never reached, the same steps
-    m = Counted(10000000019 * 10000000033)
-    runs = []
-    for deadline in (None, 1e9):
-        reductions[0] = 0
-        runs.append((arith._rho_brent(m, 400_000, deadline), reductions[0]))
-    assert runs[0] == runs[1] and runs[0][0] in (10000000019, 10000000033)
-
-
-def test_ecm_large_bounds_stop_at_time_budget(monkeypatch):
-    n = (2 ** 61 - 1) * (2 ** 89 - 1)
-    pol = arith.EffortPolicy(trial_bound=100, rho_iterations=0, ecm_curves=2,
-                             ecm_b1=1_000_000, time_budget=0.3)
-    t0 = time.monotonic()
-    assert not arith.factor(n, pol).complete
-    assert time.monotonic() - t0 < 1.3
-    # a stage 2 to 2e9 after a quick stage 1: its primes are sieved a few
-    # rows at a time, between the deadline checks
-    monkeypatch.setattr(arith, "_ECM_B2_RATIO", 1_000_000)
-    t0 = time.monotonic()
-    assert arith._ecm_curve(n, 2000, 6, t0 + 0.3) is None
-    assert time.monotonic() - t0 < 1.3
 
 
 def test_ecm_bounds_keep_half_the_curves_at_ecm_b1():

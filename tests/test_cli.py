@@ -516,7 +516,7 @@ def test_policy_flags_set_the_factoring_effort(capsys):
 
 
 @pytest.mark.parametrize("flag,field", [(["--ecm-curves", "-1"], "ecm_curves"),
-                                        (["--time-budget=-1"], "time_budget")])
+                                        (["--ecm-b1=-1"], "ecm_b1")])
 def test_negative_policy_flag_exit_two(capsys, flag, field):
     assert cli.run(["sequence", "--steps", "3"] + flag) == 2
     out, err = capsys.readouterr()
@@ -545,7 +545,7 @@ def test_sequence_prints_table_prime_below_trial_bound():
 
 # each command takes only the options it reads ---------------------------
 
-# a valid call of each command that ignores --cache or --format
+# a valid call of each command, to take one option the command does not read
 _BASE_ARGV = {
     "search-pairs": ["search-pairs", "--lo", "2", "--hi", "100"],
     "explore": ["explore", "--bound", "5", "--max-level", "2"],
@@ -554,6 +554,7 @@ _BASE_ARGV = {
     "simulate": ["simulate", "--k", "10", "--trials", "1", "--seed", "1"],
     "tables": ["tables", "--records", os.devnull],
     "sequence": ["sequence", "--steps", "2"],
+    "expand": ["expand", "--max-level", "2"],
 }
 
 
@@ -564,6 +565,9 @@ _BASE_ARGV = {
       for o in (["--cache", "x"], ["--format", "csv"])),
     ("sequence", ["--format", "csv"]),
     ("search-pairs", ["--format", "csv"]),
+    # no flag limits the seconds a factoring call takes
+    ("expand", ["--time-budget", "1"]),
+    ("sequence", ["--time-budget", "1"]),
 ])
 def test_option_a_command_does_not_read_is_a_usage_error(command, option,
                                                          capsys):

@@ -71,6 +71,16 @@ def test_bfs_levels_checkpoint_resume(tmp_path):
     resumed = gr.bfs_levels(1, 7, checkpoint=ck)
     assert resumed[:6] == first
     assert [s.node_count for s in resumed] == [1, 1, 1, 1, 1, 2, 4, 9]
+    # a checkpoint at or past max_level answers from its summaries, and
+    # is left as it is
+    path = tmp_path / "frontier.jsonl"
+    header, rest = path.read_text().split("\n", 1)
+    obj = json.loads(header)
+    obj["summaries"][-1][2] = 99  # a blocked count only this file has
+    path.write_text(json.dumps(obj) + "\n" + rest)
+    before = path.read_bytes()
+    assert gr.bfs_levels(1, 7, checkpoint=ck)[-1].composite_count == 99
+    assert path.read_bytes() == before
 
 
 def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
@@ -90,12 +100,15 @@ def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
         gr.bfs_levels(1, 7, checkpoint=str(ck))
     assert ck.read_bytes() == before
     # as saved by the ladder before the one-ladder stage 1, by the one
-    # before the measured first rung and short rho budget, and by the one
-    # before stage 2's D was sized to B2
+    # before the measured first rung and short rho budget, by the one
+    # before stage 2's D was sized to B2, and by this ladder while the
+    # policy still had a time budget
     assert arith.LADDER_VERSION == 5
-    for old in (2, 3, 4):
-        obj["policy"] = gr._policy_fingerprint(pol).replace(
-            ":ladder5", f":ladder{old}")
+    now = gr._policy_fingerprint(pol)
+    assert now == "10000:400000:50:50000:ladder5"
+    for old in [*(now.replace(":ladder5", f":ladder{v}") for v in (2, 3, 4)),
+                "10000:400000:50:50000:0.0:ladder5"]:
+        obj["policy"] = old
         ck.write_text(json.dumps(obj) + "\n" + rest)
         before = ck.read_bytes()
         capsys.readouterr()
@@ -105,22 +118,6 @@ def test_bfs_levels_refuses_checkpoint_of_another_ladder(tmp_path, capsys):
         assert captured.out == ""
         assert f"under policy {obj['policy']}" in captured.err
         assert ck.read_bytes() == before
-
-
-def test_bfs_levels_resumes_only_under_the_same_time_budget(tmp_path):
-    ck = tmp_path / "frontier.jsonl"
-    budget = EffortPolicy(time_budget=0.5)
-    gr.bfs_levels(1, 5, budget, checkpoint=str(ck))
-    header, rest = ck.read_text().split("\n", 1)
-    obj = json.loads(header)
-    obj["summaries"][-1][2] = 99  # a blocked count only this checkpoint has
-    ck.write_text(json.dumps(obj) + "\n" + rest)
-    resumed = gr.bfs_levels(1, 5, budget, checkpoint=str(ck))
-    assert resumed[-1].composite_count == 99
-    before = ck.read_bytes()
-    with pytest.raises(ValueError, match="delete it to start again"):
-        gr.bfs_levels(1, 7, checkpoint=str(ck))
-    assert ck.read_bytes() == before
 
 
 def test_load_frontier_rejects_header_without_root(tmp_path):

@@ -432,6 +432,30 @@ def test_search_range_worker_invariance():
     dual = list(ms.search_range(ms.SearchConfig(2, 200_000,
                                                 worker_count=2)))
     assert base == dual
+    # a pool holds no more workers than the job has chunks, and a job of
+    # one chunk starts none; the stub pool searches in this process
+    sizes = []
+
+    class StubPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    with mock.patch.object(ms.multiprocessing, "Pool", StubPool):
+        many = ms.SearchConfig(2, 200_000, worker_count=64)
+        assert list(ms.search_range(many)) == base
+        one = ms.SearchConfig(2, 100, worker_count=64)
+        assert list(ms.search_range(one)) == [r for r in base
+                                               if r.modulus <= 100]
+    assert sizes == [4]
 
 
 def _on_path(generate):
