@@ -9,6 +9,10 @@ Jobs:
   explore  bounded_explore([1], 2**16, 28), the walk of the ``walk``
            workload. Keeps the number of reaches and the sha256 of the
            reaches' edge primes, one comma-joined line each.
+  explore20
+           bounded_explore([1], 2**20, 21), a walk at the edge bound of
+           the double-path hunt (ROADMAP item 17). Keeps the explore
+           job's summary.
   growth   simulate_growth_model(10**6, 20, 12345), the size of acceptance
            criterion 11. Keeps the sha256 of the ratios' hex strings
            joined by spaces.
@@ -147,6 +151,16 @@ def _stages(p: dict, recs: list) -> dict:
             "pairs": len({r.modulus for r in recs})}
 
 
+def _explore(bound: int, max_level: int) -> tuple:
+    """The job of the walk from 1 under bound to max_level."""
+    return (
+        {"roots": [1], "bound": bound, "max_level": max_level},
+        lambda p, timed: timed(lambda: list(bounded_explore(
+            p["roots"], p["bound"], p["max_level"]))),
+        lambda nodes: {"reaches": len(nodes), "edges_sha256": _sha256("".join(
+            ",".join(map(str, nd.edge_primes)) + "\n" for nd in nodes))})
+
+
 # nextprime(10**31) * nextprime(10**32)
 CURVE = {"semiprime": (10 ** 31 + 33) * (10 ** 32 + 49),
          "b1": [500, 2000, 11000, 50000], "sigma": 6}
@@ -162,12 +176,8 @@ JOBS = {
         lambda p, timed: timed(bfs_levels, 1, p["max_level"], STRETCH),
         lambda sums: {"levels": [s.node_count for s in sums],
                       "blocked": [s.composite_count for s in sums]}),
-    "explore": (
-        {"roots": [1], "bound": 1 << 16, "max_level": 28},
-        lambda p, timed: timed(lambda: list(bounded_explore(
-            p["roots"], p["bound"], p["max_level"]))),
-        lambda nodes: {"reaches": len(nodes), "edges_sha256": _sha256("".join(
-            ",".join(map(str, nd.edge_primes)) + "\n" for nd in nodes))}),
+    "explore": _explore(1 << 16, 28),
+    "explore20": _explore(1 << 20, 21),
     "growth": (
         {"k_max": 10 ** 6, "trials": 20, "seed": 12345},
         lambda p, timed: timed(simulate_growth_model, p["k_max"],

@@ -342,6 +342,24 @@ def _primorial(bound: int) -> tuple[int, tuple[int, ...]]:
     return math.prod(_product_tree(ps)[-1]), tuple(ps)
 
 
+# primes per block of _prime_blocks. Split-only times of the g's of the
+# walks from 1 (7,797 at 2^16 to level 28; 15,112 at 2^20 to level 21),
+# against 35 and 580 ms by trial division: 64 primes took 7.6-8.1 and
+# 118-125 ms; 32 took 9.2-9.3 and 149-161; 128 took 8.4-8.9 and 105-106.
+# The 2^16 walk, the benchmark's, decides.
+_SPLIT_BLOCK = 64
+
+
+@functools.lru_cache(maxsize=4)
+def _prime_blocks(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The primes <= bound in blocks of _SPLIT_BLOCK consecutive primes:
+    (first prime squared, product of the block, the block's primes)."""
+    ps = _primorial(bound)[1]
+    return tuple((ps[i] ** 2, math.prod(ps[i:i + _SPLIT_BLOCK]),
+                  ps[i:i + _SPLIT_BLOCK])
+                 for i in range(0, len(ps), _SPLIT_BLOCK))
+
+
 def _product_tree(xs: list[int]) -> list[list[int]]:
     """The levels of the product tree of xs, from the leaves to the root."""
     tree = [xs]
@@ -438,21 +456,35 @@ def small_prime_factors_many(xs: Iterable[int], bound: int
     With P the product of the primes <= bound, g = gcd(x, P mod x) is the
     product of those primes that divide x. The remainders come from one
     remainder tree per run of xs as long as P, so a tree holds O(|P|) bits.
+    g is split by its gcd h with the product of each block of consecutive
+    primes in turn, not prime by prime: an h below the square of its
+    block's first prime is one prime, since any two primes of the block
+    multiply to more, and a larger h is divided by the block's primes.
     """
-    P, ps = _primorial(bound)
+    P = _primorial(bound)[0]
+    blocks = _prime_blocks(bound)
     out = []
     for group in _groups(xs, P.bit_length()):
         for x, r in zip(group, _remainders(P, group)):
             g = math.gcd(x, r)
             found = []
             # g is squarefree with every prime <= bound, so once p*p > g
-            # what is left of g is 1 or a prime
-            for p in ps:
-                if p * p > g:
+            # for the least prime p that may still divide g, what is left
+            # of g is 1 or a prime; the same rule splits h in its block
+            for p0_sq, block, ps in blocks:
+                if p0_sq > g:
                     break
-                if g % p == 0:
-                    found.append(p)
-                    g //= p
+                h = math.gcd(block, g)
+                if h == 1:
+                    continue
+                g //= h
+                for p in ps:
+                    if p * p > h:
+                        break
+                    if h % p == 0:
+                        found.append(p)
+                        h //= p
+                found.append(h)
             if g > 1:
                 found.append(g)
             out.append(found)

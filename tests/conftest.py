@@ -1,7 +1,5 @@
 import os
 import sys
 
-# make table_data importable from every test module, and bench from the
-# scripts the tests load
+# make table_data importable from every test module
 sys.path.insert(0, os.path.dirname(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))

@@ -310,6 +310,45 @@ def test_small_prime_factors_many_matches_oracle(bound, monkeypatch):
         arith.small_prime_factors(x, bound) for x in xs[:7]]
 
 
+def test_small_prime_factors_many_block_edges():
+    # blocks of B primes: bounds that end a block and that start one, and
+    # g's whose primes sit at a block's first, inner and last places
+    B = arith._SPLIT_BLOCK
+    primes = arith.sieve_primes(10_000)
+    assert len(primes) > 3 * B
+    big = (2 ** 61 - 1) * (2 ** 89 - 1)  # primes above every bound here
+    for bound in (primes[2 * B - 1], primes[2 * B]):
+        ps = arith.sieve_primes(bound)
+        assert ps[-1] == bound
+        gs = [1, 2, 3 * 5, 2 * ps[B - 1], ps[B - 2] * ps[B - 1],
+              ps[B + 1] * ps[B + 5], ps[B - 1] * ps[B], ps[B],
+              ps[B] * ps[B + 3], ps[B] * ps[2 * B - 1], ps[-1],
+              ps[-2] * ps[-1], ps[B] * ps[-1], math.prod(ps[B:2 * B]),
+              math.prod(ps)]
+        xs = [g * c for g in gs for c in (1, 2 ** 61 - 1, big)]
+        assert arith.small_prime_factors_many(xs, bound) == [
+            small_primes_oracle(x, bound) for x in xs]
+
+
+def test_small_prime_factors_many_at_two_to_the_twenty():
+    # the double-path hunt's bound, with the block edges among the primes
+    bound = 1 << 20
+    primes = arith.sieve_primes(bound)
+    B = arith._SPLIT_BLOCK
+    rng = random.Random(20)
+    edges = [primes[-1], primes[-2], primes[B], primes[B - 1],
+             primes[-(len(primes) % B or B)]]
+    xs = []
+    for i in range(40):
+        x = rng.getrandbits(rng.choice([1, 64, 300, 2000])) + 1
+        x *= math.prod(rng.sample(primes, rng.randrange(0, 4)))
+        xs.append(x * edges[i % len(edges)] if i % 3 == 0 else x)
+    # small_primes_oracle's rule, over one sieve of the primes
+    rs = [[p for p in primes if x % p == 0] for x in xs]
+    assert arith.small_prime_factors_many(xs, bound) == rs
+    assert any(len(r) > 2 for r in rs) and any(primes[-1] in r for r in rs)
+
+
 def _mod_operands(rng):
     """Divisors from 1 bit to 6 times the divmod limit, of even and odd
     bit lengths on both sides of the cutover, with random dividends up to
@@ -608,6 +647,59 @@ def test_factor_without_curves_matches_rho_only_ladder(tmp_path):
         "1000000006988999999923=1000000007,999999999989",
         "998244366975420990913973297=998244353,1000000014000000049",
     ]
+
+
+def _seeded_semiprimes(bits):
+    """32 pairs (p, q), p a random prime of ``bits`` bits and q one of
+    max(100 - bits, bits + 8) bits, drawn by random.Random(bits)."""
+    rng = random.Random(bits)
+
+    def prime(size):
+        while True:
+            p = rng.getrandbits(size) | 1 << (size - 1) | 1
+            while p.bit_length() == size:
+                if arith.is_prime(p):
+                    return p
+                p += 2
+    return [(prime(bits), prime(max(100 - bits, bits + 8))) for _ in range(32)]
+
+
+def _curve_rounds(ns, b1):
+    """(tries, splits) of rounds of one curve at B1 b1 on each of ns, the
+    curve of round j with sigma 6 + j as the ladder numbers its curves,
+    until a round brings the splits to 24, or for 8 rounds."""
+    rounds = splits = 0
+    while rounds < 8 and splits < 24:
+        splits += sum(arith._ecm_curve(n, b1, 6 + rounds) is not None
+                      for n in ns)
+        rounds += 1
+    return rounds * len(ns), splits
+
+
+# (tries, splits) of the short rho pass at each budget and of the curves
+# at each B1 on the seeded semiprimes of each size; B1 = 250 at 22 bits
+# moved with stage 2's D (ladder 5)
+LADDER_SPLITS = {
+    20: {"rho": {1024: (32, 32), 2048: (32, 32), 4096: (32, 32)},
+         "ecm": {250: (32, 29), 500: (32, 31), 1000: (32, 32),
+                 2000: (32, 32)}},
+    22: {"rho": {1024: (32, 23), 2048: (32, 32), 4096: (32, 32)},
+         "ecm": {250: (64, 46)}},
+}
+
+
+def test_ladder_split_counts_on_seeded_semiprimes():
+    for bits, cells in LADDER_SPLITS.items():
+        pairs = _seeded_semiprimes(bits)
+        for p, q in pairs:
+            assert arith.is_prime(p) and arith.is_prime(q)
+            assert (p.bit_length(), q.bit_length()) == (bits, 100 - bits)
+        ns = [p * q for p, q in pairs]
+        got = {"rho": {budget: (len(ns), sum(
+            arith._rho_brent(n, budget, (1,)) is not None for n in ns))
+            for budget in cells["rho"]},
+            "ecm": {b1: _curve_rounds(ns, b1) for b1 in cells["ecm"]}}
+        assert got == cells, bits
 
 
 # modular helpers -------------------------------------------------------

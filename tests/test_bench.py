@@ -15,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "explore": ("reaches", "edges_sha256"),
+                 "explore20": ("reaches", "edges_sha256"),
                  "growth": ("ratios_sha256",),
                  "pairs": ("records", "per_k", "jsonl_sha256"),
                  "window": ("records", "per_k", "jsonl_sha256", "stages"),
