@@ -650,8 +650,8 @@ def test_factor_without_curves_matches_rho_only_ladder(tmp_path):
 
 
 def _seeded_semiprimes(bits):
-    """32 pairs (p, q), p a random prime of ``bits`` bits and q one of
-    max(100 - bits, bits + 8) bits, drawn by random.Random(bits)."""
+    """32 pairs (p, q), p a random prime of ``bits`` <= 46 bits and q one
+    of 100 - bits bits, so p*q has 100 bits, drawn by random.Random(bits)."""
     rng = random.Random(bits)
 
     def prime(size):
@@ -661,7 +661,7 @@ def _seeded_semiprimes(bits):
                 if arith.is_prime(p):
                     return p
                 p += 2
-    return [(prime(bits), prime(max(100 - bits, bits + 8))) for _ in range(32)]
+    return [(prime(bits), prime(100 - bits)) for _ in range(32)]
 
 
 def _curve_rounds(ns, b1):
