@@ -19,6 +19,8 @@ Jobs:
   pairs    search_range over [2, 2**22] for irreducible pairs on one
            worker. Keeps the record count, the records per tuple size k
            and the sha256 of the JSONL output.
+  pairs2   the pairs job on two workers: the caller and one forked
+           helper. Keeps the pairs job's summary.
   window   search_range over [5*10**8, 5*10**8 + 2**20) for irreducible
            pairs on one worker, a window narrow enough to be sieved.
            Keeps the pairs job's summary and, counted outside the timing,
@@ -186,6 +188,8 @@ JOBS = {
             " ".join(r.hex() for r in stats.ratios))}),
     "pairs": ({"lo": 2, "hi": 1 << 22, "workers": 1}, _search,
               _pairs_summary),
+    "pairs2": ({"lo": 2, "hi": 1 << 22, "workers": 2}, _search,
+               _pairs_summary),
     "window": (WINDOW, _search, lambda recs: {
         **_pairs_summary(recs), "stages": _stages(WINDOW, recs)}),
     "modulus": (

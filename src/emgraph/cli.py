@@ -274,7 +274,8 @@ def build_parser() -> _Parser:
     p.add_argument("--coprime-to", type=int, default=1)
     p.add_argument("--irreducible-only", action="store_true",
                    help="no effect: every search is irreducible")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="searching processes, this one among them")
     p.add_argument("--checkpoint", default=None)
 
     p = command("expand", _cmd_expand, "level census from a root",

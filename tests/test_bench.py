@@ -18,6 +18,7 @@ OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "explore20": ("reaches", "edges_sha256"),
                  "growth": ("ratios_sha256",),
                  "pairs": ("records", "per_k", "jsonl_sha256"),
+                 "pairs2": ("records", "per_k", "jsonl_sha256"),
                  "window": ("records", "per_k", "jsonl_sha256", "stages"),
                  "modulus": ("records", "jsonl_sha256"),
                  "curve": ("splits",)}

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import multiprocessing
 from fractions import Fraction
 from unittest import mock
 
@@ -427,15 +428,9 @@ def test_search_range_coprime_filter():
     assert list(ms.search_range(cfg)) == []
 
 
-def test_search_range_worker_invariance():
-    base = list(ms.search_range(ms.SearchConfig(2, 200_000)))
-    dual = list(ms.search_range(ms.SearchConfig(2, 200_000,
-                                                worker_count=2)))
-    assert base == dual
-    # a pool holds no more workers than the job has chunks, and a job of
-    # one chunk starts none; the stub pool searches in this process
-    sizes = []
-
+def _stub_pool(sizes, pooled):
+    """Patch in a pool that searches in this process, when a result is
+    read, and records its size and the start of each chunk handed to it."""
     class StubPool:
         def __init__(self, processes):
             sizes.append(processes)
@@ -446,16 +441,68 @@ def test_search_range_worker_invariance():
         def __exit__(self, *exc):
             return False
 
-        def imap(self, func, items):
-            return map(func, items)
+        def apply_async(self, func, args):
+            pooled.append(args[0][0])
+            return mock.Mock(get=lambda: func(*args))
 
-    with mock.patch.object(ms.multiprocessing, "Pool", StubPool):
-        many = ms.SearchConfig(2, 200_000, worker_count=64)
-        assert list(ms.search_range(many)) == base
+    return mock.patch.object(ms.multiprocessing, "Pool", StubPool)
+
+
+@pytest.mark.parametrize("generate", [True, False])
+def test_search_range_worker_invariance(generate):
+    with _on_path(generate):
+        sizes, pooled = [], []
+        with _stub_pool(sizes, pooled):  # one worker starts no pool
+            base = list(ms.search_range(ms.SearchConfig(2, 300_000)))
+        assert sizes == pooled == []
+        assert list(ms.search_range(ms.SearchConfig(
+            2, 300_000, worker_count=3))) == base
+        # [2, 200000] is 4 chunks and [2, 300000] 5, counts that the
+        # workers do not divide; the caller searches every N-th chunk
+        # and a pool of N - 1 processes the others
+        for hi, n in ((200_000, 3), (300_000, 2), (300_000, 3)):
+            sizes, pooled = [], []
+            with _stub_pool(sizes, pooled):
+                assert list(ms.search_range(ms.SearchConfig(
+                    2, hi, worker_count=n))) == [r for r in base
+                                                 if r.modulus <= hi]
+            assert sizes == [n - 1]
+            assert pooled == [s for i, s in enumerate(range(2, hi, 65536))
+                              if i % n]
+    # N is min(workers, chunks), and a job of one chunk starts no pool
+    sizes = []
+    with _stub_pool(sizes, []):
+        assert list(ms.search_range(ms.SearchConfig(
+            2, 200_000, worker_count=64))) == [r for r in base
+                                               if r.modulus <= 200_000]
         one = ms.SearchConfig(2, 100, worker_count=64)
         assert list(ms.search_range(one)) == [r for r in base
                                                if r.modulus <= 100]
-    assert sizes == [4]
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_search_range_chunk_error(tmp_path, failing):
+    # on two workers the pool searches chunk 1 and the caller chunk 2; a
+    # chunk of two items cannot be unpacked, so it raises where it is
+    # searched
+    cfg = ms.SearchConfig(2, 300_000, worker_count=2)
+    full = list(ms.search_range(cfg))
+    chunks = ms._candidate_chunks
+
+    def broken(cfg, bounds):
+        for i, args in enumerate(chunks(cfg, bounds)):
+            yield args[:2] if i == failing else args
+
+    ck, head = str(tmp_path / "ck"), []
+    with _on_path(True), mock.patch.object(ms, "_candidate_chunks", broken):
+        with pytest.raises(ValueError, match="not enough values"):
+            for rec in ms.search_range(cfg, checkpoint=ck):
+                head.append(rec)
+    end = 1 + failing * 65536
+    assert ms.read_checkpoint(ck) == (end, len(head))
+    assert head == [r for r in full if r.modulus <= end]
+    assert multiprocessing.active_children() == []
 
 
 def _on_path(generate):
