@@ -19,8 +19,8 @@ Jobs:
   pairs    search_range over [2, 2**22] for irreducible pairs on one
            worker. Keeps the record count, the records per tuple size k
            and the sha256 of the JSONL output.
-  pairs2   the pairs job on two workers: the caller and one forked
-           helper. Keeps the pairs job's summary.
+  pairs2   the pairs job on two workers: the caller and one helper
+           process. Keeps the pairs job's summary.
   window   search_range over [5*10**8, 5*10**8 + 2**20) for irreducible
            pairs on one worker, a window narrow enough to be sieved.
            Keeps the pairs job's summary and, counted outside the timing,

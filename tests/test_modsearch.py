@@ -448,27 +448,27 @@ def _stub_pool(sizes, pooled):
     return mock.patch.object(ms.multiprocessing, "Pool", StubPool)
 
 
-@pytest.mark.parametrize("generate", [True, False])
-def test_search_range_worker_invariance(generate):
-    with _on_path(generate):
-        sizes, pooled = [], []
-        with _stub_pool(sizes, pooled):  # one worker starts no pool
-            base = list(ms.search_range(ms.SearchConfig(2, 300_000)))
-        assert sizes == pooled == []
-        assert list(ms.search_range(ms.SearchConfig(
-            2, 300_000, worker_count=3))) == base
-        # [2, 200000] is 4 chunks and [2, 300000] 5, counts that the
-        # workers do not divide; the caller searches every N-th chunk
-        # and a pool of N - 1 processes the others
-        for hi, n in ((200_000, 3), (300_000, 2), (300_000, 3)):
+def test_search_range_worker_invariance():
+    for generate in (True, False):
+        with _on_path(generate):
             sizes, pooled = [], []
-            with _stub_pool(sizes, pooled):
-                assert list(ms.search_range(ms.SearchConfig(
-                    2, hi, worker_count=n))) == [r for r in base
-                                                 if r.modulus <= hi]
-            assert sizes == [n - 1]
-            assert pooled == [s for i, s in enumerate(range(2, hi, 65536))
-                              if i % n]
+            with _stub_pool(sizes, pooled):  # one worker starts no pool
+                base = list(ms.search_range(ms.SearchConfig(2, 300_000)))
+            assert sizes == pooled == []
+            assert list(ms.search_range(ms.SearchConfig(
+                2, 300_000, worker_count=3))) == base
+            # [2, 200000] is 4 chunks and [2, 300000] 5, counts that the
+            # workers do not divide; the caller searches every N-th chunk
+            # and a pool of N - 1 processes the others
+            for hi, n in ((200_000, 3), (300_000, 2), (300_000, 3)):
+                sizes, pooled = [], []
+                with _stub_pool(sizes, pooled):
+                    assert list(ms.search_range(ms.SearchConfig(
+                        2, hi, worker_count=n))) == [r for r in base
+                                                     if r.modulus <= hi]
+                assert sizes == [n - 1]
+                assert pooled == [s for i, s in enumerate(range(2, hi, 65536))
+                                  if i % n]
     # N is min(workers, chunks), and a job of one chunk starts no pool
     sizes = []
     with _stub_pool(sizes, []):
