@@ -12,10 +12,9 @@ search walks the orderings depth first, one prime at a time, and packs
 the vector into one integer key on the way: the digit of p_b,
 prod(S_{p_b}) mod p_b, lies in [1, p_b), and weighting it by
 p_1 ... p_{b-1} makes the key a mixed-radix number. Each complete
-ordering is packed into one integer code and filed under its key; the
-pairs are the combinations inside each key's class whose proper prefix
-products all differ, the irreducible pairs. No other pair is searched
-for.
+ordering is filed under its key as one integer code; the pairs are the
+combinations inside each key's class whose proper prefix products all
+differ, the irreducible pairs. No other pair is searched for.
 
 Irreducible pairs obey a global rule too. Let S and T be the sets of
 primes before p in P and in Q. If S = T, the prefixes of length |S| (or
@@ -25,47 +24,41 @@ a*prod(S) = -1 = a*prod(T) (mod p), hence prod(S) = prod(T) (mod p).
 Every prime p of m must therefore see two distinct subsets of the other
 primes with equal product mod p. The search checks this first,
 largest prime first, and returns nothing when some prime sees all
-2^(k-1) subset products distinct. A prime p <= 2^(k-1) always passes,
-having more subsets than nonzero residues. The same pass keeps each
-prime's subset products, from which the walk's tables are built once
-every prime has passed.
+2^(k-1) subset products distinct. The same pass keeps each prime's
+subset products, from which the walk's tables are built once every
+prime has passed.
 
 For the largest prime r of m = n*r the rule bounds r. Cancelling the
 primes common to S and T leaves disjoint sets A != B of primes of n with
 r dividing prod(A) - prod(B), a nonzero integer below n in size; so
 r < n and r^2 < m, and no modulus with P(m)^2 > m has an irreducible
-pair. The search of a wide range [lo, hi] therefore sieves
-nothing: a depth-first walk over squarefree n with n*P(n) < hi lists the
-primes r in (P(n), min(n, hi/n)] that divide such a difference, taken
-from a smallest-prime-factor table when n <= sqrt(hi) and otherwise
-(where r < sqrt(hi)) from a gcd with the primes in range, and only the
-moduli n*r reach the search. The walk visits about hi^0.7 values of n
-whatever the width, so a range narrower than hi^(3/4) sieves its
-integers instead. Both sources apply r^2 < m, the generator by
-construction and the sieve path by asking the stream for the moduli it
-factors completely: a cofactor prime above its segment's sieve bound
-has r^2 > m, and such moduli are about two thirds of the squarefree
-ones. One multiply before the filter applies the lemma to the few
-left. Both hand each modulus to the same filter and walk, so their
-records agree byte for byte.
+pair. So a range at least hi^(3/4) wide sieves nothing: a depth-first
+walk over squarefree n with n*P(n) < hi lists the primes r in
+(P(n), min(n, hi/n)] that divide such a difference, and only the moduli
+n*r reach the search. A narrower range sieves, keeping the moduli the
+stream factors completely (a cofactor prime above its segment's sieve
+bound has r^2 > m); one multiply before the filter applies the lemma to
+the rest. Both sources hand each modulus to the same filter and walk,
+so their records agree byte for byte.
 
 For the moduli that pass the filter, the subset products it kept
 prune the walk: the prime placed next must collide at its predecessor
 set, and every unplaced prime must still have a colliding set
-containing the primes placed so far. The collision tables and the walk
-read two cached per-k tables: the masks without each prime and the
-primes of each mask.
+containing the primes placed so far.
 
 Everything the walk reads below a prefix (the tables, the pruning and
 each digit prod(S_p) mod p times its weight) is indexed by the mask of
 primes placed, so the completions of a mask are the same on every path
 that reaches it. The walk therefore stops at depth k - floor(k/2),
 lists the completions of each mask it reaches there once, as (key
-offset, code suffix), and files the prefix plus each of them. A class
-whose orderings all pass through one cut-depth mask shares that proper
-prefix, so it is dropped before any ordering is decoded. Memory still
-grows with the orderings filed: the products of the first nine and ten
-primes take about 40 MB and 0.55 GB, as primes that small prune little.
+offset, code suffix), and files the prefix OR each of them. A code is
+the chain of an ordering's proper prefix masks, the mask after depth i
+in the k-bit field i - 1, so two orderings share a proper prefix exactly
+when the XOR of their codes has a zero field: one test (``_codec``), and
+only the pairs that pass are decoded. Memory grows with the orderings
+filed, a key and a k(k - 1)-bit code each: the products of the first
+nine and ten primes peak at about 59 MB and 0.56 GB resident, as primes
+that small prune little.
 
 A permutation-enumeration oracle is provided for cross-checking, plus a
 density report for the expected spacing of loop bases. The pairs of the
@@ -107,10 +100,8 @@ class TooManyFactors(ValueError):
 
 MAX_BRUTE_OMEGA = 8
 _CHUNK = 1 << 16
-# chunks a range search draws ahead of the one it emits, per searching
-# process: enough that a run of slow chunks on one side leaves the other
-# side work (at [2, 10^8] on 2 workers the caller waited 2.3 s with 2,
-# 0.3 to 0.6 s with 16)
+# chunks drawn ahead of the one emitted, per searching process: at
+# [2, 10^8] on 2 workers the caller waited 2.3 s with 2, 0.3-0.6 s with 16
 _AHEAD = 16
 
 
@@ -207,9 +198,8 @@ def _collision_tables(primes: Sequence[int],
 def _pair_search(m: int, primes: Sequence[int],
                  ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Core search; returns canonical (P, Q) tuples."""
-    # the largest-prime lemma (r^2 < m, one multiply) and the filter run
-    # before _backtrack, so a rejected modulus allocates none of the walk's
-    # closure cells
+    # the lemma (r^2 < m) and the filter first: a modulus they reject
+    # builds none of the walk's closures
     if len(primes) < 3 or primes[-1] ** 2 > m:
         return []
     tables = _collision_tables(primes)
@@ -239,26 +229,27 @@ def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
 
     # the filter passed, so every prime collides somewhere and the root
     # meets allow; each child is checked before the descent
-    def extend(used: int, key: int, code: int, depth: int,
+    def extend(used: int, key: int, code: int, shift: int, depth: int,
                leaf: Callable[[int, int, int], object]) -> None:
-        """Call ``leaf(mask, key, code)`` at the end of each pruned walk of
-        ``depth`` more primes from ``used``."""
+        """Call ``leaf(mask, key, code)`` after each pruned walk of
+        ``depth`` more primes from ``used``; ``code`` holds the masks
+        before ``mask``, the next at bit ``shift``."""
         v = value[used]
         for b in bits[exact[used]]:
             nused = used | 1 << b
             if allow[nused] | nused == full:
                 nkey = key + v % primes[b] * weight[b]
                 if depth == 1:
-                    leaf(nused, nkey, code * k + b)
+                    leaf(nused, nkey, code)
                 else:
-                    extend(nused, nkey, code * k + b, depth - 1, leaf)
+                    extend(nused, nkey, code | nused << shift, shift + k,
+                           depth - 1, leaf)
 
     # the walk stops at depth k - half (see the module docstring); tails
     # holds each cut-depth mask's completions as (key offset, code suffix)
     half = k // 2
-    scale = k ** half
+    cut = (k - half - 1) * k  # the cut-depth mask's field
     tails: list[Optional[list[tuple[int, int]]]] = [None] * (full + 1)
-    lead = [0] * scale  # code suffix -> the cut-depth mask before it
     first: dict[int, int] = {}  # class key -> code of its first ordering
     # class key -> codes of the others, as a tuple: most hold one code, and
     # regrowing a tuple copies no more than the class's pairs
@@ -268,37 +259,46 @@ def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
         tail = tails[used]
         if tail is None:  # an empty list is memoised too
             tail = tails[used] = []
-            extend(used, 0, 0, half,
+            extend(used, 0, 0, cut + k, half,
                    lambda _, off, suf: tail.append((off, suf)))
-            for _, suf in tail:
-                lead[suf] = used
-        code *= scale
+        code |= used << cut
         for off, suf in tail:
-            ncode = code + suf
+            ncode = code | suf
             if first.setdefault(key + off, ncode) != ncode:
                 more[key + off] = more.get(key + off, ()) + (ncode,)
 
-    extend(0, 0, 0, k - half, graft)
-
-    def ordering(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            code, b = divmod(code, k)
-            out.append(primes[b])
-        return tuple(out[::-1])
-
+    extend(0, 0, 0, 0, k - half, graft)
+    if not more:
+        return []
+    irreducible, ordering = _codec(primes)
     pairs = []
     for key, codes in more.items():
-        codes = (first[key], *codes)
-        # orderings through one cut-depth mask share that proper prefix,
-        # so such a class holds no irreducible pair
-        if len({lead[c % scale] for c in codes}) == 1:
-            continue
-        members = sorted(map(ordering, codes))
-        for P, Q in itertools.combinations(members, 2):
-            if not _share_proper_prefix(P, Q):
-                pairs.append((P, Q))
+        for c, d in itertools.combinations((first[key], *codes), 2):
+            if irreducible(c ^ d):
+                P, Q = ordering(c), ordering(d)
+                pairs.append((P, Q) if P < Q else (Q, P))
     return sorted(pairs)
+
+
+def _codec(primes: Sequence[int]) -> tuple[Callable[[int], bool],
+                                           Callable[[int], tuple[int, ...]]]:
+    """For ``_backtrack``'s codes of orderings of ``primes``: whether two
+    codes with XOR z share no proper prefix, and the ordering of a code."""
+    k = len(primes)
+    full = (1 << k) - 1
+    low = sum(1 << s for s in range(0, k * k - k, k))  # each field's bit 0
+    high = low << k - 1
+    top = full << k * k - k  # the full mask, after depth k
+    prime = {1 << b: p for b, p in enumerate(primes)}
+    shifts = range(0, k * k, k)
+
+    def ordering(code: int) -> tuple[int, ...]:
+        code |= top
+        code ^= code << k  # field i: the prime placed at depth i + 1
+        return tuple([prime[code >> s & full] for s in shifts])
+    # a field of z is 0 (a shared prefix) exactly when taking 1 from each
+    # field sets a high bit that z lacks
+    return lambda z: (z - low) & ~z & high == 0, ordering
 
 
 def _records_for(pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
@@ -609,11 +609,10 @@ def search_range(cfg: SearchConfig,
     last fully emitted chunk boundary and the record count so far, and a
     run given that file yields only the records after them.
 
-    ``cfg.worker_count`` processes search, the caller among them: the
-    caller searches every N-th chunk of the N = min(worker_count,
-    chunks) and a pool of N - 1 helper processes the rest, so one worker
-    or one chunk starts no process. An error in any chunk leaves this
-    generator, with the checkpoint at the chunk end before it.
+    N = min(worker_count, chunks) processes search, the caller and a
+    pool of N - 1 (``_ordered``), so one worker or one chunk starts no
+    process. An error in any chunk leaves this generator, with the
+    checkpoint at the chunk end before it.
     """
     lo, emitted = resume_point(cfg, checkpoint)
     if lo > cfg.hi:

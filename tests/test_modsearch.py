@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -137,12 +138,61 @@ def test_oracle_equivalence_random(m):
 def test_oracle_equivalence_deep_chains(m):
     # nothing below 1e5 has 7+ prime factors, so exercise those chain
     # depths explicitly against the permutation oracle; in the last two
-    # (k = 8, largest primes 263 and 97) the walk drops 758 of 1718 and
-    # 720 of 1234 classes whose orderings all pass through one half-depth
-    # mask
+    # (k = 8, largest primes 263 and 97) the walk's field test rejects
+    # 2116 of the 2146 pairs in 1718 classes of two or more codes and
+    # 1220 of the 1238 pairs in 1234 such classes
     fz = factor(m)
     assert fz.omega >= 7
     assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz)
+
+
+def _prefix_code(perm, primes):
+    # by definition: the mask of perm's first i primes in the k-bit field
+    # i - 1, for each proper prefix
+    k = len(primes)
+    code = mask = 0
+    for i, p in enumerate(perm[:-1]):
+        mask |= 1 << primes.index(p)
+        code |= mask << i * k
+    return code
+
+
+def _pairs_sharing_one_prefix(primes, depth, rng, count):
+    # pairs of orderings whose prefixes of length ``depth`` are one set and
+    # whose other proper prefixes all differ
+    k = len(primes)
+    out = []
+    while len(out) < count:
+        P, Q = rng.sample(primes, k), rng.sample(primes, k)
+        if set(P[:depth]) == set(Q[:depth]) and not any(
+                set(P[:i]) == set(Q[:i]) for i in range(1, k) if i != depth):
+            out.append((P, Q))
+    return out
+
+
+def test_prefix_codes_against_the_definition():
+    # the walk's field test on the XOR of two codes says whether the two
+    # orderings share no proper prefix product; every pair for k <= 5,
+    # 2000 seeded pairs for k = 6..10, among them 100 that share only the
+    # first and 100 that share only the last proper prefix
+    rng = random.Random(33)
+    for k in range(1, 11):
+        primes = arith.sieve_primes(29)[:k]
+        irreducible, ordering = ms._codec(primes)
+        if k <= 6:
+            code = {P: _prefix_code(P, primes)
+                    for P in itertools.permutations(primes)}
+            assert all(ordering(c) == P for P, c in code.items())
+        if k <= 5:
+            pairs = list(itertools.product(code, repeat=2))
+        else:
+            pairs = [(rng.sample(primes, k), rng.sample(primes, k))
+                     for _ in range(1800)]
+            pairs += _pairs_sharing_one_prefix(primes, 1, rng, 100)
+            pairs += _pairs_sharing_one_prefix(primes, k - 1, rng, 100)
+        for P, Q in pairs:
+            z = _prefix_code(P, primes) ^ _prefix_code(Q, primes)
+            assert irreducible(z) == (not tp._share_proper_prefix(P, Q))
 
 
 @pytest.mark.parametrize("count, digest", [
