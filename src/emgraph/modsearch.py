@@ -51,10 +51,10 @@ each digit prod(S_p) mod p times its weight) is indexed by the mask of
 primes placed, so the completions of a mask are the same on every path
 that reaches it. The walk therefore stops at depth k - floor(k/2),
 lists the completions of each mask it reaches there once, as (key
-offset, code suffix), and files the prefix OR each of them. A code is
-the chain of an ordering's proper prefix masks, the mask after depth i
-in the k-bit field i - 1, so two orderings share a proper prefix exactly
-when the XOR of their codes has a zero field: one test (``_codec``), and
+offset, code suffix), and files the prefix OR each of them. A code
+chains an ordering's proper prefix masks, the mask after depth i in the
+k-bit field i - 1, so two orderings share a proper prefix exactly when
+the XOR of their codes has a zero field: one test (``_codec``), and
 only the pairs that pass are decoded. Memory grows with the orderings
 filed, a key and a k(k - 1)-bit code each: the products of the first
 nine and ten primes peak at about 59 MB and 0.56 GB resident, as primes
@@ -100,8 +100,9 @@ class TooManyFactors(ValueError):
 
 MAX_BRUTE_OMEGA = 8
 _CHUNK = 1 << 16
-# chunks drawn ahead of the one emitted, per searching process: at
-# [2, 10^8] on 2 workers the caller waited 2.3 s with 2, 0.3-0.6 s with 16
+# chunks drawn ahead of the one emitted, per searching process, so slow
+# chunks on one side leave the other work: at [2, 10^8] on 2 workers the
+# caller waited 2.3 s with 2, 0.3 to 0.6 s with 16
 _AHEAD = 16
 
 
@@ -280,8 +281,8 @@ def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
     return sorted(pairs)
 
 
-def _codec(primes: Sequence[int]) -> tuple[Callable[[int], bool],
-                                           Callable[[int], tuple[int, ...]]]:
+def _codec(primes: Sequence[int],
+           ) -> tuple[Callable[[int], bool], Callable[[int], tuple]]:
     """For ``_backtrack``'s codes of orderings of ``primes``: whether two
     codes with XOR z share no proper prefix, and the ordering of a code."""
     k = len(primes)
