@@ -37,6 +37,10 @@ Jobs:
            and 50000 on a fixed 210-bit semiprime whose two primes no
            curve can find. Keeps what each curve returned (null: no
            split).
+  oracle   brute_force_pairs, the permutation oracle, on the 18 moduli
+           of the coprime table (the classes the ``walk`` workload
+           watches) and on 9699690 (k = 8), factored outside the timing.
+           Keeps the record count and the sha256 of the records' JSONL.
 
 Each record holds the job's parameters, the median and the individual
 wall times, the git revision of the checkout, the core count, the Python
@@ -77,7 +81,8 @@ from emgraph.arith import (EffortPolicy, _ecm_curve, factor,
                            squarefree_stream)
 from emgraph.graph import bfs_levels, bounded_explore, simulate_growth_model
 from emgraph.modsearch import (SearchConfig, _collision_tables,
-                               search_modulus, search_range)
+                               brute_force_pairs, search_modulus,
+                               search_range)
 
 ROOT = Path(__file__).resolve().parent.parent
 STRETCH = EffortPolicy(rho_iterations=800_000, ecm_curves=120)
@@ -169,6 +174,18 @@ CURVE = {"semiprime": (10 ** 31 + 33) * (10 ** 32 + 49),
 
 WINDOW = {"lo": 5 * 10 ** 8, "hi": 5 * 10 ** 8 + (1 << 20) - 1, "workers": 1}
 
+# the moduli of tests/table_data.py's COPRIME_ROWS, then 9699690
+ORACLE_MODULI = [
+    2813785, 29541655, 32972095, 51254005, 115908845, 123412423, 155186405,
+    179491195, 183631045, 241819435, 274715155, 405125435, 451629145,
+    471892265, 714350695, 782534665, 805149301, 863399185, 9699690]
+
+
+def _oracle(p: dict, timed) -> list:
+    fzs = [(m, factor(m)) for m in p["moduli"]]
+    return timed(lambda: [r for m, fz in fzs
+                          for r in brute_force_pairs(m, fz)])
+
 # job -> (the parameters kept in its record, a run of those parameters
 # that times its work through the Timer it is given, and the summary kept
 # in its record of the last run's output)
@@ -201,6 +218,8 @@ JOBS = {
             # ru_maxrss is in KiB on Linux
             "peak_rss_mb": round(resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}),
+    "oracle": ({"moduli": ORACLE_MODULI}, _oracle, lambda recs: {
+        "records": len(recs), "jsonl_sha256": _jsonl_sha256(recs)}),
     "curve": (
         CURVE,
         lambda p, timed: [timed(_ecm_curve, p["semiprime"], b1, p["sigma"])

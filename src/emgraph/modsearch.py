@@ -14,37 +14,32 @@ prod(S_{p_b}) mod p_b, lies in [1, p_b), and weighting it by
 p_1 ... p_{b-1} makes the key a mixed-radix number. Each complete
 ordering is filed under its key as one integer code; the pairs are the
 combinations inside each key's class whose proper prefix products all
-differ, the irreducible pairs. No other pair is searched for.
+differ, the irreducible pairs.
 
 Irreducible pairs obey a global rule too. Let S and T be the sets of
 primes before p in P and in Q. If S = T, the prefixes of length |S| (or
 of length 1 if S is empty) have one product, so in an irreducible pair
-S != T. Both orderings take the edge p from the same start a, so
-a*prod(S) = -1 = a*prod(T) (mod p), hence prod(S) = prod(T) (mod p).
+S != T. Both orderings admit one a, so a*prod(S) = -1 = a*prod(T)
+(mod p), hence prod(S) = prod(T) (mod p).
 Every prime p of m must therefore see two distinct subsets of the other
 primes with equal product mod p. The search checks this first,
 largest prime first, and returns nothing when some prime sees all
-2^(k-1) subset products distinct. The same pass keeps each prime's
-subset products, from which the walk's tables are built once every
-prime has passed.
+2^(k-1) subset products distinct.
 
-For the largest prime r of m = n*r the rule bounds r. Cancelling the
+For the largest prime r of m = n*r the rule bounds r: cancelling the
 primes common to S and T leaves disjoint sets A != B of primes of n with
-r dividing prod(A) - prod(B), a nonzero integer below n in size; so
-r < n and r^2 < m, and no modulus with P(m)^2 > m has an irreducible
-pair. So a range at least hi^(3/4) wide sieves nothing: a depth-first
+r | prod(A) - prod(B), a nonzero integer below n in size, so r < n and
+r^2 < m. So a range at least hi^(3/4) wide sieves nothing: a depth-first
 walk over squarefree n with n*P(n) < hi lists the primes r in
-(P(n), min(n, hi/n)] that divide such a difference, and only the moduli
+(P(n), min(n, hi/n)] dividing such a difference, and only the moduli
 n*r reach the search. A narrower range sieves, keeping the moduli the
-stream factors completely (a cofactor prime above its segment's sieve
-bound has r^2 > m); one multiply before the filter applies the lemma to
-the rest. Both sources hand each modulus to the same filter and walk,
-so their records agree byte for byte.
+stream factors completely (a cofactor prime above the sieve bound has
+r^2 > m), and tests r^2 < m on the rest. Both sources feed one filter
+and walk, so their records agree byte for byte.
 
-For the moduli that pass the filter, the subset products it kept
-prune the walk: the prime placed next must collide at its predecessor
-set, and every unplaced prime must still have a colliding set
-containing the primes placed so far.
+The subset products the filter kept prune the walk: the prime placed
+next must collide at its predecessor set, and every unplaced prime must
+still have a colliding set containing the primes placed so far.
 
 Everything the walk reads below a prefix (the tables, the pruning and
 each digit prod(S_p) mod p times its weight) is indexed by the mask of
@@ -56,14 +51,11 @@ chains an ordering's proper prefix masks, the mask after depth i in the
 k-bit field i - 1, so two orderings share a proper prefix exactly when
 the XOR of their codes has a zero field: one test (``_codec``), and
 only the pairs that pass are decoded. Memory grows with the orderings
-filed, a key and a k(k - 1)-bit code each: the products of the first
-nine and ten primes peak at about 59 MB and 0.56 GB resident, as primes
-that small prune little.
+filed, a key and a k(k - 1)-bit code each (README gives the peaks).
 
-A permutation-enumeration oracle is provided for cross-checking, plus a
-density report for the expected spacing of loop bases. The pairs of the
-cubic triple family and of the two stock polynomial families come from
-here too, so every pair record is built by ``_records_for``.
+``brute_force_pairs`` is the oracle the search is checked against. The
+pairs of the cubic triple family and the two stock polynomial families
+come from here too, so ``_records_for`` builds every record.
 """
 
 from __future__ import annotations
@@ -87,7 +79,7 @@ from .arith import (DEFAULT_POLICY, EffortPolicy, Factorization,
 from .classify import (BlockCongruenceFailed, block_orderings, embed,
                        quadruple_case_of_pair)
 from .tuples import (PairRecord, PrimeTuple, _share_proper_prefix,
-                     check_primes, residue_base)
+                     check_primes, ordering_bases, residue_base)
 
 
 class IncompleteFactorization(ValueError):
@@ -101,8 +93,7 @@ class TooManyFactors(ValueError):
 MAX_BRUTE_OMEGA = 8
 _CHUNK = 1 << 16
 # chunks drawn ahead of the one emitted, per searching process, so slow
-# chunks on one side leave the other work: at [2, 10^8] on 2 workers the
-# caller waited 2.3 s with 2, 0.3 to 0.6 s with 16
+# chunks on one side leave the other work
 _AHEAD = 16
 
 
@@ -338,20 +329,18 @@ def _require_squarefree(m: int, fz: Factorization) -> tuple[int, ...]:
 
 
 def search_modulus(m: int, fz: Factorization) -> list[PairRecord]:
-    """Every irreducible pair {P, Q} of equivalent orderings of m: their
-    proper prefix products differ throughout, so each is a genuine loop.
-
-    Records are deduplicated canonically and each carries the pair's
-    residue class.
-    """
+    """A canonical record, with its residue class, of every irreducible
+    pair {P, Q} of equivalent orderings of m: their proper prefix
+    products all differ, so each is a genuine loop."""
     primes = _require_squarefree(m, fz)
     return _records_for(_pair_search(m, primes))
 
 
 def brute_force_pairs(m: int, fz: Factorization,
                       irreducible_only: bool = True) -> list[PairRecord]:
-    """Ground-truth oracle for ``search_modulus``: group all orderings
-    by residue class and keep the irreducible pairs of each group.
+    """Ground-truth oracle for ``search_modulus``: the irreducible pairs
+    of each class of two or more orderings, all k! grouped by the CRT
+    shares of ``tuples.ordering_bases``.
 
     Factorially expensive, so limited to omega <= 8.
     """
@@ -361,13 +350,14 @@ def brute_force_pairs(m: int, fz: Factorization,
     if len(primes) > MAX_BRUTE_OMEGA:
         raise TooManyFactors(f"omega({m}) exceeds {MAX_BRUTE_OMEGA}")
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for perm in itertools.permutations(primes):
-        groups.setdefault(residue_base(perm), []).append(perm)
+    for a, order in ordering_bases(primes):
+        groups.setdefault(a, []).append(order)
     pairs = []
-    for members in groups.values():
-        for P, Q in itertools.combinations(sorted(members), 2):
-            if not _share_proper_prefix(P, Q):
-                pairs.append((P, Q))
+    for orders in groups.values():
+        if len(orders) > 1:
+            members = sorted(tuple(primes[i] for i in o) for o in orders)
+            pairs += [(P, Q) for P, Q in itertools.combinations(members, 2)
+                      if not _share_proper_prefix(P, Q)]
     return _records_for(sorted(pairs))
 
 
@@ -396,10 +386,9 @@ def manypairs_generator(q: int, x_max: int, mode: str = "A",
                         ) -> Iterator[PairRecord]:
     """Irreducible pairs from the stock polynomial families.
 
-    Mode A walks f(x) = (x^2+x+1)(x^2+1)(x^3+x^2+2x+1), keeping x with
-    f(x) squarefree and coprime to q. Mode B walks g(x) = x(x^2-x+1)(x^2+1),
-    keeping x with gcd(g(x), q^2) = q and g(x)/q squarefree, so every
-    emitted modulus is divisible by q.
+    Mode A keeps the x whose family value is squarefree and coprime to
+    q; mode B those with gcd(value, q^2) = q and value/q squarefree, so
+    q divides every modulus it emits.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -440,8 +429,7 @@ def _largest_prime_candidates(lo: int, hi: int, min_k: int, coprime_to: int,
     modulus there with those properties and an irreducible pair is one
     of the n*r.
 
-    r = P(n*r) must divide prod(A) - prod(B) for disjoint sets A != B of
-    primes of n (see the module docstring), so r < n and n*P(n) < hi.
+    r = P(n*r) divides some prod(A) - prod(B) (the module docstring).
     Each pair (A, B) is kept once, as the subset products (x, y) with the
     smallest prime of A | B in A.
     """
@@ -498,11 +486,8 @@ def _generates_candidates(cfg: SearchConfig) -> bool:
 def _candidate_chunks(cfg: SearchConfig, bounds: Sequence[tuple[int, int]],
                       ) -> Iterator[tuple]:
     """The ``_search_chunk`` arguments of the chunks ``bounds`` on the
-    generator path, each with its candidate moduli in increasing order.
-
-    The candidates are generated here, in the calling thread; each
-    chunk's list is built only when its arguments are drawn.
-    """
+    generator path, each with its candidate moduli in increasing order,
+    generated in the calling thread and listed when drawn."""
     lo = bounds[0][0]
     nodes: list[tuple[int, ...]] = []
     # per chunk, flat (modulus, index of its n in nodes) pairs: 16 bytes a
@@ -567,9 +552,8 @@ def resume_point(cfg: SearchConfig,
     """(first modulus left to search, records already emitted) for a run
     of ``cfg`` that resumes from ``checkpoint``.
 
-    A job only ever checkpoints its own chunk ends: hi, or the last
-    modulus of a whole number of chunks from lo. Any other last modulus
-    marks a checkpoint of another job.
+    A job checkpoints only its chunk ends: hi, or the last modulus of
+    whole chunks from lo.
     """
     state = read_checkpoint(checkpoint) if checkpoint is not None else None
     if state is None:
@@ -585,10 +569,9 @@ def resume_point(cfg: SearchConfig,
 
 def _ordered(pool, workers: int,
              chunks: Iterable[tuple]) -> Iterator[list[PairRecord]]:
-    """The records of each chunk, in order. The calling process searches
-    every ``workers``-th chunk itself and ``pool`` the others, round
-    robin; no more than ``_AHEAD * workers`` chunks are drawn from
-    ``chunks`` ahead of the one being emitted."""
+    """The records of each chunk, in order: the caller searches every
+    ``workers``-th chunk and ``pool`` the others, drawing at most
+    ``_AHEAD * workers`` chunks ahead of the one emitted."""
     window: collections.deque[Callable[[], list[PairRecord]]] = (
         collections.deque())
     for i, args in enumerate(chunks):
@@ -605,14 +588,11 @@ def search_range(cfg: SearchConfig,
                  checkpoint: Optional[str] = None) -> Iterator[PairRecord]:
     """Stream every pair record with modulus in [cfg.lo, cfg.hi], in order.
 
-    The range is cut into fixed chunks emitted left to right, so output
-    is identical for any worker count; the checkpoint file records the
-    last fully emitted chunk boundary and the record count so far, and a
-    run given that file yields only the records after them.
-
-    N = min(worker_count, chunks) processes search, the caller and a
-    pool of N - 1 (``_ordered``), so one worker or one chunk starts no
-    process. An error in any chunk leaves this generator, with the
+    Fixed chunks are emitted left to right, so output is the same for
+    any worker count; the checkpoint holds the last emitted chunk end and
+    the record count, and a run given it yields only what follows. The
+    caller and min(worker_count, chunks) - 1 helpers search
+    (``_ordered``). An error in a chunk leaves this generator with the
     checkpoint at the chunk end before it.
     """
     lo, emitted = resume_point(cfg, checkpoint)

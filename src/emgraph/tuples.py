@@ -7,6 +7,12 @@ and two orderings of the same primes are interchangeable as paths exactly
 when their residue classes coincide. That residue-class criterion is the
 working definition of equivalence here; the permutation-congruence form is
 kept in the test suite as an independent oracle.
+
+``ordering_bases`` sums every ordering's base from CRT shares: the class
+is n = -1/prod(S_p) (mod p) for each prime p, S_p the primes before p,
+so the base is, mod m, the sum over p of a share fixed by p and the set
+S_p. The k * 2^(k-1) shares are tabulated once, so an ordering costs k
+reads and adds; ``residue_base``, one ordering's lift, is the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import is_prime, mod_inverse
 
@@ -88,6 +94,29 @@ def equivalent(P: Sequence[int], Q: Sequence[int]) -> bool:
     return residue_base(ps) == residue_base(qs)
 
 
+def ordering_bases(primes: Sequence[int],
+                   ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(residue_base, order) of each ordering of ``primes``, ``order``
+    its permutation of their indices."""
+    k, m = len(primes), prod(primes)
+    sub = [1]  # each mask's product
+    for p in primes:
+        sub += [s * p for s in sub]
+    # share[b][S]: -1/prod(S) mod p_b (by Fermat), 0 mod the other
+    # primes; no ordering reads a mask holding b
+    share = []
+    for p in primes:
+        e = m // p * pow(m // p, -1, p)
+        share.append([-pow(s, p - 2, p) * e % m for s in sub])
+    bits = [1 << b for b in range(k)]
+    for order in itertools.permutations(range(k)):
+        a = mask = 0
+        for b in order:
+            a += share[b][mask]
+            mask |= bits[b]
+        yield a % m, order
+
+
 def multiplicity(P: Sequence[int]) -> int:
     """Number of orderings of P's primes sharing P's residue class."""
     return len(equivalence_class(P))
@@ -100,8 +129,8 @@ def equivalence_class(P: Sequence[int]) -> list[tuple[int, ...]]:
         raise TupleTooLong(f"k = {len(ps)} exceeds the factorial-search limit")
     check_primes(ps)
     target = residue_base(ps)
-    return sorted(q for q in itertools.permutations(ps)
-                  if residue_base(q) == target)
+    return sorted(tuple(ps[i] for i in order)
+                  for a, order in ordering_bases(ps) if a == target)
 
 
 def _share_proper_prefix(ps: Sequence[int], qs: Sequence[int]) -> bool:
@@ -116,10 +145,8 @@ def _share_proper_prefix(ps: Sequence[int], qs: Sequence[int]) -> bool:
 
 
 def is_irreducible_pair(P: Sequence[int], Q: Sequence[int]) -> bool:
-    """Two equivalent distinct orderings whose proper prefix products differ.
-
-    Such a pair forms a loop meeting only at its endpoints.
-    """
+    """Two equivalent distinct orderings whose proper prefix products
+    differ: a loop meeting only at its ends."""
     ps, qs = tuple(P), tuple(Q)
     if ps == qs or len(ps) != len(qs):
         return False
@@ -127,9 +154,8 @@ def is_irreducible_pair(P: Sequence[int], Q: Sequence[int]) -> bool:
 
 
 def json_int(v: object, key: str) -> int:
-    """A JSON integer or decimal string, read from field ``key``, as an int;
-    ValueError naming ``key`` for anything else, a float or a bool
-    included."""
+    """A JSON integer or decimal string from field ``key`` as an int;
+    ValueError naming ``key`` for anything else (a float or bool too)."""
     if not isinstance(v, bool) and isinstance(v, (int, str)):
         try:
             return int(v)
@@ -182,12 +208,10 @@ class PairRecord:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PairRecord":
-        """Parse a record, raising ValueError unless it is a JSON object
-        with lists ``p``, ``q`` and ``residues`` of integers, an integer
-        ``modulus`` and a string ``kind`` if any, and is self-consistent:
-        p is distinct primes, the modulus is their product, p and q are
-        distinct equivalent orderings, and ``residues`` is exactly the
-        one class that p pins."""
+        """Parse a record; ValueError unless its fields have their types
+        and it is self-consistent: distinct primes p, their product as
+        modulus, q a distinct equivalent ordering, and p's one class as
+        ``residues``."""
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
         for key in ("p", "q", "modulus", "residues"):

@@ -21,6 +21,7 @@ OUTPUT_FIELDS = {"census": ("levels", "blocked"),
                  "pairs2": ("records", "per_k", "jsonl_sha256"),
                  "window": ("records", "per_k", "jsonl_sha256", "stages"),
                  "modulus": ("records", "jsonl_sha256"),
+                 "oracle": ("records", "jsonl_sha256"),
                  "curve": ("splits",)}
 
 

@@ -118,6 +118,18 @@ def test_brute_force_coprime_rows(row, request):
     assert rep.inverse_density == inv_density
 
 
+def test_oracle_pinned_outputs():
+    # perfbench's walk watches the classes of the coprime-table moduli and
+    # counts on 42 of them
+    classes = {rc for _, m, _, _ in COPRIME_ROWS
+               for r in ms.brute_force_pairs(m, factor(m))
+               for rc in r.residues}
+    assert len(COPRIME_ROWS) == 18 and len(classes) == 42
+    fz = factor(9699690)
+    recs = ms.brute_force_pairs(9699690, fz)
+    assert len(recs) == 102 and recs == ms.search_modulus(9699690, fz)
+
+
 def test_oracle_equivalence_sampled():
     for m, fz in squarefree_stream(2, 6000, 3):
         assert ms.search_modulus(m, fz) == ms.brute_force_pairs(m, fz), m

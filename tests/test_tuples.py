@@ -108,6 +108,40 @@ def test_equivalence_class_examples():
     assert tp.equivalence_class((7,)) == [(7,)]
 
 
+@pytest.mark.parametrize("primes", [
+    (), (7,), (2, 3, 5, 7, 11, 13),
+    *(prime_set for prime_set, _, _, _ in COPRIME_ROWS),
+    (1009, 3, 101, 17, 613, 2, 53),  # seven primes, out of order
+    (2, 3, 5, 7, 11, 13, 17, 19),  # 9699690's
+])
+def test_ordering_bases_match_residue_base(primes):
+    # the CRT shares give every ordering the base the one-ordering lift
+    # gives it, in itertools.permutations order
+    got = list(tp.ordering_bases(primes))
+    assert [order for _, order in got] == \
+        list(itertools.permutations(range(len(primes))))
+    for a, order in got:
+        assert a == tp.residue_base([primes[i] for i in order]), order
+
+
+def test_equivalence_class_streams():
+    # filtered while enumerated: 8 primes peak far below the ~5 MB that
+    # their 40,320 orderings would take as tuples
+    import tracemalloc
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    tracemalloc.start()
+    try:
+        cls = tp.equivalence_class(primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes in cls and len(cls) == tp.multiplicity(primes)
+    assert peak < 500_000, peak
+    with pytest.raises(tp.TupleTooLong,
+                       match="k = 11 exceeds the factorial-search limit"):
+        tp.equivalence_class(tuple(PRIMES_100[:11]))
+
+
 def test_no_multiple_pairs_or_singletons():
     # exhaustive over primes < 50: k <= 2 always has multiplicity 1
     for a, b in itertools.combinations(PRIMES_50, 2):
