@@ -11,8 +11,9 @@ kept in the test suite as an independent oracle.
 ``ordering_bases`` sums every ordering's base from CRT shares: the class
 is n = -1/prod(S_p) (mod p) for each prime p, S_p the primes before p,
 so the base is, mod m, the sum over p of a share fixed by p and the set
-S_p. The k * 2^(k-1) shares are tabulated once, so an ordering costs k
-reads and adds; ``residue_base``, one ordering's lift, is the reference.
+S_p. Each prime's share of each set is tabulated once, so an ordering
+costs k reads and adds; ``residue_base``, one ordering's lift, is the
+reference.
 """
 
 from __future__ import annotations

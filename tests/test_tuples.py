@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -127,7 +128,6 @@ def test_ordering_bases_match_residue_base(primes):
 def test_equivalence_class_streams():
     # filtered while enumerated: 8 primes peak far below the ~5 MB that
     # their 40,320 orderings would take as tuples
-    import tracemalloc
     primes = (2, 3, 5, 7, 11, 13, 17, 19)
     tracemalloc.start()
     try:
@@ -135,11 +135,21 @@ def test_equivalence_class_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert primes in cls and len(cls) == tp.multiplicity(primes)
     assert peak < 500_000, peak
-    with pytest.raises(tp.TupleTooLong,
-                       match="k = 11 exceeds the factorial-search limit"):
-        tp.equivalence_class(tuple(PRIMES_100[:11]))
+    target = tp.residue_base(primes)
+    assert cls == sorted(q for q in itertools.permutations(primes)
+                         if tp.residue_base(q) == target)
+
+
+@pytest.mark.parametrize("primes, error, message", [
+    (tuple(PRIMES_100[:11]), tp.TupleTooLong,
+     "k = 11 exceeds the factorial-search limit"),
+    ((2, 3, 2), ValueError, "entries must be distinct"),
+    ((2, 9, 5), ValueError, "9 is not prime"),
+])
+def test_equivalence_class_input_errors(primes, error, message):
+    with pytest.raises(error, match=message):
+        tp.equivalence_class(primes)
 
 
 def test_no_multiple_pairs_or_singletons():
