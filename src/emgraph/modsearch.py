@@ -40,18 +40,19 @@ and walk, so their records agree byte for byte.
 The subset products the filter kept prune the walk: the prime placed
 next must collide at its predecessor set, and every unplaced prime must
 still have a colliding set containing the primes placed so far.
+Weighted, they are the key's digits too: the walk computes no product.
 
-Everything the walk reads below a prefix (the tables, the pruning and
-each digit prod(S_p) mod p times its weight) is indexed by the mask of
-primes placed, so the completions of a mask are the same on every path
-that reaches it. The walk therefore stops at depth k - floor(k/2),
-lists the completions of each mask it reaches there once, as (key
-offset, code suffix), and files the prefix OR each of them. A code
-chains an ordering's proper prefix masks, the mask after depth i in the
-k-bit field i - 1, so two orderings share a proper prefix exactly when
-the XOR of their codes has a zero field: one test (``_codec``), and
-only the pairs that pass are decoded. Memory grows with the orderings
-filed, a key and a k(k - 1)-bit code each (README gives the peaks).
+Everything the walk reads below a prefix (the pruning and the digits) is
+indexed by the mask of primes placed, so the completions of a mask are
+the same on every path that reaches it. The walk therefore stops at
+depth k - floor(k/2), lists the completions of each mask it reaches
+there once, as (key offset, code suffix), and files the prefix OR each
+of them. A code chains an ordering's proper prefix masks, the mask after
+depth i in the k-bit field i - 1, so two orderings share a proper prefix
+exactly when the XOR of their codes has a zero field: one test
+(``_codec``), and only the pairs that pass are decoded. Memory grows
+with the orderings filed, a key and a k(k - 1)-bit code each (README
+gives the peaks).
 
 ``brute_force_pairs`` is the oracle the search is checked against. The
 pairs of the cubic triple family and the two stock polynomial families
@@ -105,7 +106,7 @@ class SearchConfig:
     hi: int
     min_k: int = 3
     coprime_to: int = 1
-    irreducible_only: bool = True  # True only; ROADMAP item 5 deletes it
+    irreducible_only: bool = True  # True only: False awaits ROADMAP item 14
     worker_count: int = 1
 
     def __post_init__(self) -> None:
@@ -140,16 +141,19 @@ def _mask_tables(k: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _collision_tables(primes: Sequence[int],
-                      ) -> Optional[tuple[list[int], list[int]]]:
-    """Per-prime collision tables, as prime-bit masks indexed by the mask
-    ``used`` of primes already placed in P; None when some prime p sees
-    the subset products of the other primes pairwise distinct mod p,
-    which rules out every irreducible pair.
+                      ) -> Optional[tuple[list[int], list[int],
+                                          list[list[int]]]]:
+    """Per-prime tables indexed by the mask ``used`` of primes already
+    placed in P; None when some prime p sees the subset products of the
+    other primes pairwise distinct mod p, which rules out every
+    irreducible pair.
 
     ``exact[used]`` holds the primes outside ``used`` for which ``used``
     collides mod p with another subset: the primes that may take the next
     position. ``allow[used]`` holds the primes that have a colliding
     subset containing ``used``: every unplaced prime must be among them.
+    ``digit[b][used]``, for ``used`` without bit b, is p_b's digit of the
+    class key: prod(used) mod p_b, times p_1 ... p_{b-1}.
     """
     half = 1 << (len(primes) - 1)  # subsets of the other primes
     residues: list[list[int]] = []
@@ -171,20 +175,24 @@ def _collision_tables(primes: Sequence[int],
     k = len(primes)
     without = _mask_tables(k)[0]
     exact = [0] * (1 << k)
+    digit = [[0] * (1 << k) for _ in primes]
+    weight = 1  # p_1 ... p_{b-1}
     for b, res in enumerate(residues):
-        bit = 1 << b
+        bit, row = 1 << b, digit[b]
         first: dict[int, int] = {}  # residue -> its first mask
         for mask, r in zip(without[b], res):
+            row[mask] = r * weight
             m0 = first.setdefault(r, mask)
             if m0 != mask:
                 exact[m0] |= bit
                 exact[mask] |= bit
+        weight *= primes[b]
     allow = exact[:]
     for b, masks in enumerate(without):
         bit = 1 << b
         for mask in masks:
             allow[mask] |= allow[mask | bit]
-    return exact, allow
+    return exact, allow, digit
 
 
 def _pair_search(m: int, primes: Sequence[int],
@@ -197,26 +205,17 @@ def _pair_search(m: int, primes: Sequence[int],
     tables = _collision_tables(primes)
     if tables is None:
         return []
-    return _backtrack(primes, tables)
+    return _backtrack(primes, *tables)
 
 
-def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
+def _backtrack(primes: Sequence[int], exact: list[int], allow: list[int],
+               digit: list[list[int]],
                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pruned walk over orderings behind ``_pair_search``, grouping
-    them by residue vector, pruned by the ``_collision_tables`` of
+    them by residue vector, with the ``_collision_tables`` of
     ``primes``."""
     k = len(primes)
     full = (1 << k) - 1
-    # value of every divisor, indexed by prime-subset mask
-    value = [1] * (1 << k)
-    for b in range(k):
-        bit = 1 << b
-        p = primes[b]
-        for mask in range(bit):
-            value[mask | bit] = value[mask] * p
-    exact, allow = tables
-    # digit weights of the mixed-radix class key
-    weight = [value[(1 << b) - 1] for b in range(k)]
     bits = _mask_tables(k)[1]
 
     # the filter passed, so every prime collides somewhere and the root
@@ -226,11 +225,10 @@ def _backtrack(primes: Sequence[int], tables: tuple[list[int], list[int]],
         """Call ``leaf(mask, key, code)`` after each pruned walk of
         ``depth`` more primes from ``used``; ``code`` holds the masks
         before ``mask``, the next at bit ``shift``."""
-        v = value[used]
         for b in bits[exact[used]]:
             nused = used | 1 << b
             if allow[nused] | nused == full:
-                nkey = key + v % primes[b] * weight[b]
+                nkey = key + digit[b][used]
                 if depth == 1:
                     leaf(nused, nkey, code)
                 else:

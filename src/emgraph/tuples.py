@@ -155,12 +155,16 @@ def is_irreducible_pair(P: Sequence[int], Q: Sequence[int]) -> bool:
 
 
 def json_int(v: object, key: str) -> int:
-    """A JSON integer or decimal string from field ``key`` as an int;
-    ValueError naming ``key`` for anything else (a float or bool too)."""
-    if not isinstance(v, bool) and isinstance(v, (int, str)):
+    """A JSON integer or ASCII decimal string (-?[0-9]+) from field
+    ``key`` as an int; ValueError naming ``key`` for anything else (a
+    float, a bool, or a string ``int`` would also take, such as "1_000",
+    " 7 ", "+5" or non-ASCII digits)."""
+    if isinstance(v, int) and not isinstance(v, bool) or (
+            isinstance(v, str) and v.isascii()
+            and v.removeprefix("-").isdigit()):
         try:
             return int(v)
-        except ValueError:
+        except ValueError:  # a string past int's digit limit
             pass
     raise ValueError(f"{key!r} has {v!r}, not an integer")
 

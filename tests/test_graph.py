@@ -377,6 +377,9 @@ def test_watch_list_file_roundtrip(tmp_path):
     '{"m": "30"}', '{"a": "19"}',                      # a or m missing
     '{"a": 19.5, "m": 30}', '{"a": "x", "m": "30"}',   # not an integer
     '{"a": true, "m": 30}', '{"a": "19", "m": null}',
+    # strings int() would take, but not -?[0-9]+ in ASCII
+    '{"a": "1_9", "m": "30"}', '{"a": " 7 ", "m": "30"}',
+    '{"a": "+7", "m": "30"}', '{"a": "\\u0661\\u0663", "m": "30"}',
     '{"a": "31", "m": "30"}',                          # not a reduced class
     '{"a": 1, "m": 30}',                               # line 1's class again
 ])

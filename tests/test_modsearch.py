@@ -318,15 +318,20 @@ def test_generator_emits_primes_in_order():
 
 def test_collision_tables_match_definition():
     # 4930 = 2*5*17*29; the others pass the filter, k = 5, 5, 6 and 6, and
-    # 1006005 has irreducible pairs
+    # 1006005 has irreducible pairs; digit[b][s] is p_b's digit of the
+    # class key after the primes of s
     for m in (4930, 1000246, 1001455, 1000110, 1006005):
         primes = factor(m).primes
         k = len(primes)
         value = [math.prod(primes[b] for b in range(k) if mask >> b & 1)
                  for mask in range(1 << k)]
-        exact, allow = ms._collision_tables(primes)
+        exact, allow, digit = ms._collision_tables(primes)
         for b, p in enumerate(primes):
             others = [s for s in range(1 << k) if not s >> b & 1]
+            weight = math.prod(primes[:b])
+            assert len(digit[b]) == 1 << k, m
+            for s in others:
+                assert digit[b][s] == value[s] % p * weight, m
             collides = {s for s in others
                         if any(t != s and (value[t] - value[s]) % p == 0
                                for t in others)}

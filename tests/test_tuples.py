@@ -280,6 +280,19 @@ def test_pair_record_accepts_json_integers():
         tp.PrimeTuple((2, 3, 5)), tp.PrimeTuple((5, 3, 2)), 19)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("modulus", "3_0"), ("modulus", " 30 "), ("modulus", "+30"),
+    ("modulus", "\u0663\u0660"), ("residues", ["1_9"]),
+    ("p", ["2", "+3", "5"]),
+])
+def test_pair_record_rejects_loose_integer_strings(field, value):
+    # int() takes each of these; a record field takes -?[0-9]+ in ASCII
+    obj = {"p": ["2", "3", "5"], "q": ["5", "3", "2"], "modulus": "30",
+           "residues": ["19"], field: value}
+    with pytest.raises(ValueError, match=f"{field!r} has .* not an integer"):
+        tp.PairRecord.from_json_obj(obj)
+
+
 @pytest.mark.parametrize("residues", [[], ["19", "19"], ["1"], ["49"]])
 def test_pair_record_requires_the_one_residue(residues):
     obj = {"p": ["2", "3", "5"], "q": ["5", "3", "2"], "modulus": "30",
